@@ -6,6 +6,10 @@ eigendecomposition, so every step is unitary to machine precision and the
 scheme converges at second order in dt.  All essential basis columns are
 propagated together as one matrix, which also makes results independent
 of any column-level parallelism.
+
+``propagate_sequence`` is the one forward loop.  ``propagate`` asks it for
+a decimated trajectory; ``objective.forward`` asks it for every step state,
+which the adjoint reverse pass (``objective.backward``) then reads back.
 """
 
 from __future__ import annotations
@@ -69,6 +73,20 @@ def step_grid(T: float, steps_per_ns: int) -> tuple[int, float]:
     return n_steps, T / n_steps
 
 
+def midpoint_controls(
+    sys: QuditSystem, params: PulseParams, steps_per_ns: int | None
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(dt, step midpoints, p, q) for a pulse at the given resolution."""
+    if steps_per_ns is None:
+        steps_per_ns = default_steps_per_ns(sys)
+    if steps_per_ns < 1:
+        raise ValueError("steps_per_ns must be >= 1")
+    n_steps, dt = step_grid(params.T, steps_per_ns)
+    midpoints = (np.arange(n_steps) + 0.5) * dt
+    p, q = eval_controls(params, midpoints)
+    return dt, midpoints, p, q
+
+
 def stored_indices(n_steps: int, stride: int | None = None) -> np.ndarray:
     """Decimated step indices (always including 0 and n_steps)."""
     if stride is None:
@@ -109,32 +127,38 @@ def propagate_sequence(
     dt: float,
     initial: np.ndarray,
     store: np.ndarray | None = None,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Apply the midpoint-rule steps defined by control samples p, q.
 
     ``p`` and ``q`` have shape (K, n_steps) and hold the control values at
-    the step midpoints.  Returns the states at the step indices in
-    ``store`` (default: final state only).
+    the step midpoints.  Returns the states at the strictly increasing step
+    indices in ``store`` (default: final state only) as one array of shape
+    (len(store),) + initial.shape, written in place as the sweep passes
+    each index.  This is the only forward loop: ``propagate`` asks it for a
+    thinned trajectory, the objective's forward pass for every step.
     """
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise PropagationError("controls produced non-finite values")
     n_steps = p.shape[1]
-    if store is None:
-        store = np.asarray([n_steps])
-    wanted = set(int(i) for i in store)
+    wanted = [n_steps] if store is None else [int(i) for i in store]
+    if np.any(np.diff(wanted) <= 0) or not 0 <= wanted[0] <= wanted[-1] <= n_steps:
+        raise ValueError("store must be strictly increasing step indices")
+    states = np.empty((len(wanted),) + np.shape(initial), dtype=complex)
     psi = np.asarray(initial, dtype=complex)
-    out = {}
-    if 0 in wanted:
-        out[0] = psi.copy()
+    slot = 0
+    if wanted[0] == 0:
+        states[0] = psi
+        slot = 1
     for start in range(0, n_steps, EIGH_CHUNK):
         sl = slice(start, min(start + EIGH_CHUNK, n_steps))
         _, _, unitaries = step_unitaries(h0, ops, p, q, dt, sl)
-        for i in range(sl.stop - sl.start):
-            psi = unitaries[i] @ psi
-            m = start + i + 1
-            if m in wanted:
-                out[m] = psi.copy()
-    return [out[int(i)] for i in store]
+        for m, u in enumerate(unitaries, start + 1):
+            if slot < len(wanted) and wanted[slot] == m:
+                psi = np.matmul(u, psi, out=states[slot])
+                slot += 1
+            else:
+                psi = u @ psi
+    return states
 
 
 def guard_population_columns(states: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -155,20 +179,15 @@ def propagate(
     With ``store_trajectory`` the returned Trajectory holds decimated
     snapshots; otherwise only the initial and final states.
     """
-    if steps_per_ns is None:
-        steps_per_ns = default_steps_per_ns(sys)
-    if steps_per_ns < 1:
-        raise ValueError("steps_per_ns must be >= 1")
     h0, ops, embed, mask = system_operators(sys)
-    n_steps, dt = step_grid(params.T, steps_per_ns)
-    midpoints = (np.arange(n_steps) + 0.5) * dt
-    p, q = eval_controls(params, midpoints)
+    dt, _, p, q = midpoint_controls(sys, params, steps_per_ns)
+    n_steps = p.shape[1]
     if store_trajectory:
         idx = stored_indices(n_steps, store_stride)
     else:
         idx = np.asarray([0, n_steps])
     initial = embed if initial_states is None else initial_states
-    states = np.stack(propagate_sequence(h0, ops, p, q, dt, initial, idx))
+    states = propagate_sequence(h0, ops, p, q, dt, initial, idx)
     return Trajectory(
         times=idx * dt,
         states=states,

@@ -78,6 +78,12 @@ class QuditSystem:
         return (idx // n >= self.d) | (idx % n >= self.d)
 
 
+def carrier_midpoint(omega: tuple[float, ...], xi: tuple[float, ...], d: int) -> float:
+    """Midpoint of the extreme lab carriers omega_k + j*xi_k, j = 0..d-2."""
+    labs = [w + j * x for w, x in zip(omega, xi) for j in range(d - 1)]
+    return 0.5 * (max(labs) + min(labs))
+
+
 def transmon_system(
     num_qudits: int = 1,
     d: int = 2,
@@ -90,8 +96,7 @@ def transmon_system(
     """Build a QuditSystem from frequencies given in GHz.
 
     When ``omega_rot_ghz`` is None the rotating-frame frequency defaults to
-    the midpoint of the extreme lab carrier frequencies (the same value
-    ``pulse.rotating_frame_frequency`` computes).
+    ``carrier_midpoint`` of the converted frequencies.
     """
     omega = tuple(TWO_PI * w for w in omega_ghz[:num_qudits])
     xi = tuple(TWO_PI * x for x in xi_ghz[:num_qudits])
@@ -99,8 +104,7 @@ def transmon_system(
     if omega_rot_ghz is not None:
         omega_rot = TWO_PI * omega_rot_ghz
     else:
-        labs = [w + j * x for w, x in zip(omega, xi) for j in range(d - 1)]
-        omega_rot = 0.5 * (max(labs) + min(labs))
+        omega_rot = carrier_midpoint(omega, xi, d)
     return QuditSystem(num_qudits, d, guard, omega, xi, coupling, omega_rot)
 
 

@@ -7,6 +7,10 @@ zero), and step lengths are chosen by backtracking until the Armijo
 sufficient-decrease condition holds.  Accepted objective values are
 therefore monotonically non-increasing, and the best iterate seen is
 returned.
+
+Every evaluation is one ``objective.forward`` pass; the accepted line-search
+candidate's cache goes to ``objective.backward``, so a step costs no extra
+forward sweep and Armijo tests and the history use the same values.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from typing import Callable
 import numpy as np
 
 from .model import GateSpec, QuditSystem
-from .objective import ObjectiveConfig, objective_parts, value_and_gradient
+from .objective import ForwardCache, ObjectiveConfig, backward, forward
+from .objective import objective_parts  # noqa: F401  (kept importable from here)
 from .pulse import PulseParams
 
 LBFGS_MEMORY = 10
@@ -97,24 +102,22 @@ def minimize(
         out[pinned] = 0.0
         return out
 
-    def evaluate(alpha: np.ndarray):
-        total, infid, guard = objective_parts(
-            sys, params0.with_alpha(alpha), target, cfg, steps_per_ns
-        )
-        if not np.isfinite(total):
-            raise OptimizerAbort(f"objective became non-finite ({total})")
-        return total, infid, guard
+    def evaluate(alpha: np.ndarray) -> ForwardCache:
+        cache = forward(sys, params0.with_alpha(alpha), target, cfg, steps_per_ns)
+        if not np.isfinite(cache.total):
+            raise OptimizerAbort(f"objective became non-finite ({cache.total})")
+        return cache
 
-    def evaluate_grad(alpha: np.ndarray):
-        total, infid, guard, grad = value_and_gradient(
-            sys, params0.with_alpha(alpha), target, cfg, steps_per_ns
-        )
-        if not np.isfinite(total) or not np.all(np.isfinite(grad)):
-            raise OptimizerAbort("objective or gradient became non-finite")
-        return total, infid, guard, grad
+    def evaluate_grad(cache: ForwardCache) -> np.ndarray:
+        grad = backward(cache)
+        if not np.all(np.isfinite(grad)):
+            raise OptimizerAbort("gradient became non-finite")
+        return grad
 
     x = project(params0.alpha.copy())
-    value, infid, guard, grad = evaluate_grad(x)
+    cache = evaluate(x)
+    value, infid, guard = cache.total, cache.infidelity, cache.guard
+    grad = evaluate_grad(cache)
     history = [value]
     best_value, best_infid, best_x = value, infid, x.copy()
     converged = infid < cfg.error_threshold
@@ -130,8 +133,9 @@ def minimize(
                 delta = candidate - x
                 slope = grad @ delta
                 if slope < 0.0:
-                    cand_value, cand_infid, cand_guard = evaluate(candidate)
-                    if cand_value <= value + ARMIJO_C * slope:
+                    cache = None  # at most one forward cache alive
+                    cache = evaluate(candidate)
+                    if cache.total <= value + ARMIJO_C * slope:
                         moved = True
                         break
                 step *= BACKTRACK_FACTOR
@@ -141,13 +145,14 @@ def minimize(
         if not moved:
             break  # no descent possible at working precision
 
-        new_value, new_infid, new_guard, new_grad = evaluate_grad(candidate)
+        new_grad = evaluate_grad(cache)
         s = candidate - x
         y = new_grad - grad
         sy = s @ y
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             memory.append((s, y, 1.0 / sy))
-        x, value, infid, guard, grad = candidate, new_value, new_infid, new_guard, new_grad
+        x, grad = candidate, new_grad
+        value, infid, guard = cache.total, cache.infidelity, cache.guard
         iterations += 1
         history.append(value)
         if value < best_value:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .model import TWO_PI, QuditSystem
+from .model import TWO_PI, QuditSystem, carrier_midpoint
 
 
 class RefitError(RuntimeError):
@@ -108,9 +108,7 @@ def carrier_frequencies(
 
 def rotating_frame_frequency(sys: QuditSystem) -> float:
     """Midpoint of the extreme lab carrier frequencies, in rad/ns."""
-    lab, _ = carrier_frequencies(sys)
-    flat = [f for ctrl in lab for f in ctrl]
-    return 0.5 * (max(flat) + min(flat))
+    return carrier_midpoint(sys.omega, sys.xi, sys.d)
 
 
 def num_bsplines(T: float) -> int:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from quditpulse.dynamics import propagate
+from quditpulse.dynamics import PropagationError, propagate, step_unitaries, system_operators
 from quditpulse.model import GateSpec, embed_target, gate, transmon_system
 from quditpulse.objective import (
+    REVERSE_BLOCK,
     ObjectiveConfig,
+    backward,
+    forward,
     gradient,
     guard_penalty,
     objective,
@@ -12,12 +15,48 @@ from quditpulse.objective import (
     trace_infidelity,
     value_and_gradient,
 )
-from quditpulse.pulse import default_params, random_guess
+from quditpulse.pulse import basis_matrix, default_params, random_guess
 
 
 def _random_pulse(sys, T, scale, seed):
     params = default_params(sys, T)
     return params.with_alpha(random_guess(params, scale, seed))
+
+
+def _per_step_reference_gradient(cache):
+    """The step-by-step reverse loop that the batched pass replaced."""
+    sys, params, cfg, dt = cache.sys, cache.params, cache.cfg, cache.dt
+    h0, ops, _, mask = system_operators(sys)
+    n_steps = cache.p.shape[1]
+    guard_coef = cfg.w_guard * cache.guard_coef
+    lam = -(cache.overlap / sys.dim_essential**2) * cache.v_emb
+    lam = lam + guard_coef[n_steps] * (mask[:, None] * cache.states[n_steps])
+    s_a = np.empty((len(ops), n_steps))
+    s_b = np.empty((len(ops), n_steps))
+    for m in range(n_steps - 1, -1, -1):
+        evals, evecs, _ = step_unitaries(h0, ops, cache.p, cache.q, dt, slice(m, m + 1))
+        basis_q, evals = evecs[0], evals[0]
+        lam_t = basis_q.conj().T @ lam
+        psi_t = basis_q.conj().T @ cache.states[m]
+        mean = 0.5 * (evals[:, None] + evals[None, :])
+        gap = evals[:, None] - evals[None, :]
+        kernel = -1j * dt * np.exp(-1j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
+        kernel_p = kernel * (psi_t @ lam_t.conj().T).T
+        for k, (a_op, b_op) in enumerate(ops):
+            s_a[k, m] = 2.0 * np.real(np.sum(kernel_p * (basis_q.conj().T @ a_op @ basis_q)))
+            s_b[k, m] = 2.0 * np.real(np.sum(kernel_p * (basis_q.conj().T @ b_op @ basis_q)))
+        lam = basis_q @ (np.exp(1j * dt * evals)[:, None] * lam_t)
+        lam = lam + guard_coef[m] * (mask[:, None] * cache.states[m])
+    basis_mid = basis_matrix(params.N_b, params.T, cache.midpoints)
+    grad = np.empty((params.num_controls, params.num_carriers, params.N_b, 2))
+    for k in range(params.num_controls):
+        phases = np.outer(cache.midpoints, np.asarray(params.carriers[k]))
+        cosw, sinw = np.cos(phases), np.sin(phases)
+        grad[k, :, :, 0] = (cosw * s_a[k][:, None] + sinw * s_b[k][:, None]).T @ basis_mid
+        grad[k, :, :, 1] = (cosw * s_b[k][:, None] - sinw * s_a[k][:, None]).T @ basis_mid
+    grad = grad.reshape(-1) + 2.0 * cfg.w_l2 * params.alpha
+    grad[params.boundary_mask()] = 0.0
+    return grad
 
 
 class TestTraceInfidelity:
@@ -49,6 +88,19 @@ class TestTraceInfidelity:
             traj = propagate(sys, _random_pulse(sys, 15.0, 1.0, seed))
             j = trace_infidelity(traj.states[-1], v_emb, 2)
             assert 0.0 <= j <= 1.0
+
+    def test_non_orthonormal_columns_raise(self):
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        v_emb = embed_target(gate("X_d", 2), sys)
+        for bad in (1.001 * v_emb, np.full_like(v_emb, np.nan)):
+            with pytest.raises(PropagationError):
+                trace_infidelity(bad, v_emb, 2)
+
+    def test_roundoff_clipped_into_range(self):
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        v_emb = embed_target(gate("X_d", 2), sys)
+        # |<V, U>|^2 / h^2 = (1 + 1e-12)^2 > 1: roundoff, not a fault
+        assert trace_infidelity((1 + 1e-12) * v_emb, v_emb, 2) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -142,6 +194,37 @@ class TestGradient:
         free = ~params.boundary_mask()
         rel = np.abs(adj - fd)[free] / np.maximum(np.abs(adj), np.abs(fd))[free]
         assert np.max(rel) < 1e-3
+
+    def test_two_qudit_d3_directional_derivative(self):
+        sys = transmon_system(num_qudits=2, d=3, guard=2)
+        params = _random_pulse(sys, 6.0, 0.3, 25)
+        target = gate("SWAP_d", 3)
+        cfg = ObjectiveConfig()
+        rng = np.random.default_rng(26)
+        direction = rng.standard_normal(params.alpha.size)
+        direction[params.boundary_mask()] = 0.0
+        direction /= np.linalg.norm(direction)
+        step = 1e-4 * params.alpha_max
+        plus = objective(sys, params.with_alpha(params.alpha + step * direction), target, cfg)
+        minus = objective(sys, params.with_alpha(params.alpha - step * direction), target, cfg)
+        central = (plus - minus) / (2.0 * step)
+        adjoint = gradient(sys, params, target, cfg) @ direction
+        assert abs(adjoint - central) <= 1e-5 * abs(central)
+
+    def test_batched_reverse_pass_matches_per_step_loop(self):
+        # Several reverse blocks plus a ragged tail, and more steps than
+        # MAX_STORED_STEPS, so guard terms sit on a decimated grid and the
+        # adjoint state crosses block edges between guard samples.
+        n_steps = 8 * REVERSE_BLOCK + 37
+        sys = transmon_system(num_qudits=1, d=3, guard=2)
+        params = _random_pulse(sys, n_steps / 20, 0.8, 27)
+        target = gate("H_d", 3)
+        cfg = ObjectiveConfig(w_guard=0.3, w_l2=1e-4)
+        cache = forward(sys, params, target, cfg, steps_per_ns=20)
+        assert cache.p.shape[1] == n_steps and np.count_nonzero(cache.guard_coef) < n_steps
+        batched = backward(cache)
+        reference = _per_step_reference_gradient(cache)
+        assert np.max(np.abs(batched - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     def test_pinned_coordinates_zero(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -88,17 +90,54 @@ class TestMinimize:
     def test_non_finite_objective_aborts(self, monkeypatch):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         params = _seeded(sys, 20.0, 0.1, 7)
+        real_forward = optimize_mod.forward
 
-        def bad_parts(*args, **kwargs):
-            return np.nan, np.nan, np.nan
+        def bad_forward(*args, **kwargs):
+            return dataclasses.replace(real_forward(*args, **kwargs), total=np.nan)
 
-        monkeypatch.setattr(optimize_mod, "objective_parts", bad_parts)
+        monkeypatch.setattr(optimize_mod, "forward", bad_forward)
+        with pytest.raises(OptimizerAbort):
+            minimize(sys, params, gate("X_d", 2), ObjectiveConfig(), max_iter=5)
+
+    def test_non_finite_gradient_aborts(self, monkeypatch):
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        params = _seeded(sys, 20.0, 0.1, 7)
         monkeypatch.setattr(
-            optimize_mod, "value_and_gradient",
-            lambda *a, **k: (np.nan, np.nan, np.nan, np.zeros_like(params.alpha)),
+            optimize_mod, "backward", lambda cache: np.full_like(params.alpha, np.nan)
         )
         with pytest.raises(OptimizerAbort):
             minimize(sys, params, gate("X_d", 2), ObjectiveConfig(), max_iter=5)
+
+    def test_accepted_candidate_forward_is_reused(self, monkeypatch):
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        params = _seeded(sys, 20.0, 0.1, 8)
+        forwards, backwards = [], []
+        real_forward, real_backward = optimize_mod.forward, optimize_mod.backward
+
+        def counting_forward(*args, **kwargs):
+            forwards.append(real_forward(*args, **kwargs))
+            return forwards[-1]
+
+        def counting_backward(cache):
+            # The gradient runs on the newest forward cache, and the forward
+            # before it propagated a different pulse: the accepted candidate
+            # is not propagated again.
+            assert cache is forwards[-1]
+            if len(forwards) > 1:
+                assert not np.array_equal(forwards[-2].params.alpha, cache.params.alpha)
+            backwards.append(cache)
+            return real_backward(cache)
+
+        monkeypatch.setattr(optimize_mod, "forward", counting_forward)
+        monkeypatch.setattr(optimize_mod, "backward", counting_backward)
+        res = minimize(sys, params, gate("X_d", 2), ObjectiveConfig(), max_iter=8)
+        assert res.iterations == 8
+        # One gradient at the start point plus one per accepted step.
+        assert len(backwards) == res.iterations + 1
+        # Every forward after the start point's is a line-search evaluation.
+        assert backwards[0] is forwards[0]
+        assert len(forwards) >= 1 + res.iterations
+        assert res.objective_history == [b.total for b in backwards]
 
     def test_default_budgets(self):
         assert default_max_iter(transmon_system(num_qudits=1, d=2)) == 500
