@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -71,6 +72,17 @@ _CONFIG_SECTIONS = {
 }
 
 
+def _fits(kind: str, value) -> bool:
+    """Whether a JSON value fits the RunConfig annotation ``kind``."""
+    if value is None:
+        return kind.endswith("| None")
+    if kind.startswith("tuple"):
+        return isinstance(value, list) and all(_fits("float", x) for x in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, int) if kind.startswith("int") else math.isfinite(value)
+
+
 def load_config(path: str | None) -> RunConfig:
     """Read and validate the run configuration; None gives the defaults."""
     if path is None:
@@ -99,13 +111,13 @@ def load_config(path: str | None) -> RunConfig:
     if doc:
         raise CliError(f"unknown top-level config keys: {sorted(doc)}")
 
-    for tuple_key in ("omega_ghz", "xi_ghz"):
-        if tuple_key in fields:
-            fields[tuple_key] = tuple(fields[tuple_key])
-    try:
-        cfg = RunConfig(**fields)
-    except TypeError as exc:
-        raise CliError(f"invalid config: {exc}") from exc
+    kinds = RunConfig.__annotations__  # strings: this module defers annotations
+    for key, value in fields.items():
+        if not _fits(kinds[key], value):
+            raise CliError(f"config key {key!r} must be {kinds[key]}, got {value!r}")
+        if isinstance(value, list):
+            fields[key] = tuple(value)
+    cfg = RunConfig(**fields)
     if cfg.guard < 0 or cfg.error_threshold <= 0 or cfg.error_threshold >= 1:
         raise CliError("invalid config values")
     return cfg
@@ -137,10 +149,15 @@ def _ipr_config(cfg: RunConfig, t_start: float, seed_offset: int = 0) -> ipr_mod
     )
 
 
+def _optimizer(cfg: RunConfig, mock_threshold: float | None, units: int = 1):
+    """The standard optimizer, or the mock succeeding from mock_threshold * units."""
+    if mock_threshold is not None:
+        return ipr_mod.threshold_mock_optimizer(mock_threshold * units)
+    return ipr_mod.standard_optimizer(_objective_config(cfg), cfg.max_iter, cfg.steps_per_ns)
+
+
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config)
-    if args.T <= 0:
-        raise CliError(f"duration must be positive, got {args.T}")
     system = build_system(cfg, args.gate, args.d)
     target = gate(args.gate, args.d)
     params = default_params(system, args.T)
@@ -198,16 +215,9 @@ def _ipr_result_doc(
 
 def cmd_ipr(args) -> int:
     cfg = load_config(args.config)
-    if args.t_start <= 0:
-        raise CliError(f"start duration must be positive, got {args.t_start}")
     system = build_system(cfg, args.gate, args.d)
     target = gate(args.gate, args.d)
-    if args.mock_threshold is not None:
-        optimizer = ipr_mod.threshold_mock_optimizer(args.mock_threshold)
-    else:
-        optimizer = ipr_mod.standard_optimizer(
-            _objective_config(cfg), cfg.max_iter, cfg.steps_per_ns
-        )
+    optimizer = _optimizer(cfg, args.mock_threshold)
     ipr_cfg = _ipr_config(cfg, args.t_start)
     if args.step is not None:
         ipr_cfg = replace(ipr_cfg, step=args.step)
@@ -253,12 +263,7 @@ def cmd_sweep(args) -> int:
         else:
             t_start = args.t_start
         base = _ipr_config(cfg, t_start, seed_offset=1000 * d)
-        if args.mock_threshold is not None:
-            optimizer = ipr_mod.threshold_mock_optimizer(args.mock_threshold * (d - 1))
-        else:
-            optimizer = ipr_mod.standard_optimizer(
-                _objective_config(cfg), cfg.max_iter, cfg.steps_per_ns
-            )
+        optimizer = _optimizer(cfg, args.mock_threshold, units=d - 1)
         summary = ipr_mod.multi_run(system, target, base, args.runs, optimizer=optimizer)
         for run_idx, (res, run_cfg) in enumerate(zip(summary.results, summary.configs)):
             rows.append([
@@ -352,8 +357,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_export_lab(args) -> int:
-    if args.sample_rate <= 0:
-        raise CliError("sample rate must be positive")
     system, params, _, _ = _load_pulse_file(args.pulse)
     n_samples = int(round(params.T * args.sample_rate)) + 1
     times = np.linspace(0.0, params.T, n_samples)
@@ -385,6 +388,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _positive(text: str) -> float:
+    """argparse type for durations and rates: a finite number > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="quditpulse",
                      description="Shortest-duration qudit gate pulse toolkit")
@@ -398,15 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimize", help="one fixed-duration optimization")
     add_common(p_opt)
-    p_opt.add_argument("--T", type=float, required=True, help="pulse duration, ns")
+    p_opt.add_argument("--T", type=_positive, required=True, help="pulse duration, ns")
     p_opt.add_argument("--out", required=True, help="output pulse JSON")
     p_opt.add_argument("--log", help="iteration log CSV (default: <out>.iters.csv)")
     p_opt.set_defaults(func=cmd_optimize)
 
     p_ipr = sub.add_parser("ipr", help="shortest-duration search")
     add_common(p_ipr)
-    p_ipr.add_argument("--t-start", type=float, required=True, help="first duration, ns")
-    p_ipr.add_argument("--step", type=float, help="initial duration step, ns")
+    p_ipr.add_argument("--t-start", type=_positive, required=True, help="first duration, ns")
+    p_ipr.add_argument("--step", type=_positive, help="initial duration step, ns")
     p_ipr.add_argument("--out", required=True, help="output result JSON")
     p_ipr.add_argument("--mock-threshold", type=float,
                        help="drive the search with a success-above-threshold mock optimizer")
@@ -416,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep)
     p_sweep.add_argument("--d-range", required=True, help="e.g. 2..4 or 3")
     p_sweep.add_argument("--runs", type=int, default=10, help="searches per dimension")
-    p_sweep.add_argument("--t-start", type=float, default=50.0,
+    p_sweep.add_argument("--t-start", type=_positive, default=50.0,
                          help="start duration for the lowest dimensions")
     p_sweep.add_argument("--out", required=True, help="output CSV")
     p_sweep.add_argument("--mock-threshold", type=float,
@@ -438,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lab = sub.add_parser("export-lab", help="export lab-frame drive samples")
     p_lab.add_argument("--pulse", required=True, help="pulse JSON")
-    p_lab.add_argument("--sample-rate", type=float, default=16.0, help="samples per ns")
+    p_lab.add_argument("--sample-rate", type=_positive, default=16.0, help="samples per ns")
     p_lab.add_argument("--out", required=True, help="output CSV")
     p_lab.set_defaults(func=cmd_export_lab)
     return parser

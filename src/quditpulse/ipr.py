@@ -35,6 +35,9 @@ from .pulse import PulseParams, default_params, random_guess, refit
 
 THREADS_ENV_VAR = "QUDITPULSE_THREADS"
 
+# multi_run draws each start duration uniformly from [LOW, HIGH] * t_ref.
+START_SAMPLE_LOW, START_SAMPLE_HIGH = 0.8, 1.2
+
 Optimizer = Callable[[QuditSystem, PulseParams, GateSpec], OptResult]
 
 
@@ -261,9 +264,9 @@ class MultiRunResult:
 
 def _worker_count(n_runs: int) -> int:
     env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
-    return max(1, min(n_runs, os.cpu_count() or 1))
+    if env and not (env.isdecimal() and int(env) >= 1):
+        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
+    return int(env) if env else max(1, min(n_runs, os.cpu_count() or 1))
 
 
 def multi_run(
@@ -271,8 +274,6 @@ def multi_run(
     target: GateSpec,
     base_cfg: IPRConfig,
     n_runs: int,
-    sample_low: float = 0.8,
-    sample_high: float = 1.2,
     t_ref: float | None = None,
     optimizer: Optimizer | None = None,
 ) -> MultiRunResult:
@@ -284,6 +285,7 @@ def multi_run(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    workers = _worker_count(n_runs)
     if optimizer is None:
         optimizer = standard_optimizer()
 
@@ -296,7 +298,7 @@ def multi_run(
     configs = []
     for child in children:
         rng = np.random.default_rng(child)
-        t_start = rng.uniform(sample_low * t_ref, sample_high * t_ref)
+        t_start = rng.uniform(START_SAMPLE_LOW * t_ref, START_SAMPLE_HIGH * t_ref)
         t_start = max(_snap(t_start, base_cfg.granularity), base_cfg.granularity)
         configs.append(
             replace(
@@ -307,7 +309,7 @@ def multi_run(
             )
         )
 
-    with ThreadPoolExecutor(max_workers=_worker_count(n_runs)) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(
             pool.map(lambda c: ipr_run(sys, target, c, optimizer), configs)
         )

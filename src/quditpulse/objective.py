@@ -10,16 +10,11 @@ essential subspace and the second is the time-averaged population of
 guard-containing basis states on the decimated trajectory grid.
 
 ``forward`` propagates once, keeping every step state, and returns a
-``ForwardCache`` with the value parts; ``backward(cache)`` turns it into
-the gradient without a second sweep.  The other entry points wrap these.
-
-The gradient is a discrete adjoint of the exponential-midpoint scheme: each
-step's exponential is differentiated exactly in its eigenbasis through the
-divided-difference kernel of exp, so it matches central finite differences
-to roundoff.  The reverse pass works in blocks of ``REVERSE_BLOCK`` steps:
-one batched ``eigh`` per block (caching all eigenpairs would cost
-n_steps * n^2 complex values), a step-by-step adjoint recurrence, and
-batched kernel contractions.  ``gradient(..., method="fd")`` is a
+``ForwardCache`` with the value parts.  ``backward(cache)`` turns it into
+the gradient without a second sweep: it hands the infidelity's final-state
+cotangent and the guard weights to ``dynamics.reverse_sequence``, the
+control sensitivities to ``pulse.controls_adjoint``, and adds the L2 term.
+The other entry points wrap these; ``gradient(..., method="fd")`` is a
 finite-difference fallback.
 """
 
@@ -35,23 +30,18 @@ from .dynamics import (
     guard_population_columns,
     midpoint_controls,
     propagate_sequence,
-    step_unitaries,
+    reverse_sequence,
     stored_indices,
     system_operators,
 )
 from .model import GateSpec, QuditSystem, embed_target
-from .pulse import PulseParams, basis_matrix
+from .pulse import PulseParams, controls_adjoint
 
 FD_STEP_FRACTION = 1e-6
 
 # Final essential columns must be orthonormal to this before the
 # infidelity is trusted.
 ORTHONORMAL_TOL = 1e-8
-
-# Steps per reverse-pass block.  Each block holds a few (block, n, n)
-# complex arrays; on 2q d=2, T=100 ns (4000 steps, 2-core Xeon) 512-step
-# blocks raised peak RSS from 56 to 65 MB and were no faster.
-REVERSE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -154,68 +144,18 @@ def forward(
                         coef, total, infid, guard)
 
 
-def _exp_derivative_kernel(evals: np.ndarray, dt: float) -> np.ndarray:
-    """Divided differences of exp(-1j*dt*x) on eigenvalue grids (..., n).
-
-    Entry (..., i, j) is (f(l_i) - f(l_j)) / (l_i - l_j) with the exact
-    diagonal limit, written in a form that is stable for any eigenvalue gap.
-    """
-    half = np.exp(-0.5j * dt * evals)  # exp(-1j*dt*mean) = half_i * half_j
-    gap = evals[..., :, None] - evals[..., None, :]
-    return (-1j * dt) * half[..., :, None] * half[..., None, :] * np.sinc(
-        dt * gap / (2.0 * np.pi)
-    )
-
-
 def backward(cache: ForwardCache) -> np.ndarray:
-    """Adjoint gradient of ``cache.total`` with respect to alpha.
-
-    Boundary-pinned coefficients report gradient zero.
-    """
+    """Adjoint gradient of ``cache.total`` in alpha; pinned coefficients get 0."""
     sys, params, cfg = cache.sys, cache.params, cache.cfg
     h0, ops, _, mask = system_operators(sys)
-    p, q, dt, states = cache.p, cache.q, cache.dt, cache.states
-    n_steps = p.shape[1]
-    guard_coef = cfg.w_guard * cache.guard_coef
-    ops_flat = np.stack([m for pair in ops for m in pair]).reshape(2 * len(ops), -1)
-
-    # lam holds the cogradient dJ/d(conj psi) after each step as rows,
-    # lam = lambda^H, so the recurrence lambda_m = U_m^H lambda_{m+1} is
-    # the row product lam @ U_m.
-    lam = -(np.conj(cache.overlap) / sys.dim_essential**2) * cache.v_emb.conj().T
-    lam += guard_coef[n_steps] * (states[n_steps].conj().T * mask)
-    lam_after = np.empty((REVERSE_BLOCK,) + lam.shape, dtype=complex)
-    sens = np.empty((n_steps, len(ops_flat)))  # dJ/d(p_0, q_0, p_1, ...) per step
-    for start in reversed(range(0, n_steps, REVERSE_BLOCK)):
-        stop = min(start + REVERSE_BLOCK, n_steps)
-        evals, evecs, unitaries = step_unitaries(h0, ops, p, q, dt, slice(start, stop))
-        for i in range(stop - start - 1, -1, -1):
-            lam_after[i] = lam
-            lam = lam @ unitaries[i]
-            if guard_coef[start + i]:
-                lam += guard_coef[start + i] * (states[start + i].conj().T * mask)
-        # Q^H psi_m lambda_{m+1}^H Q in each step's eigenbasis, weighted by
-        # the exp kernel, mapped back as G = conj(Q) (K o pair^T) Q^T so that
-        # dJ/dc = 2 Re sum(op o G) for every control operator at once.
-        pair = (evecs.conj().swapaxes(1, 2) @ states[start:stop]) @ (
-            lam_after[: stop - start] @ evecs
-        )
-        weighted = _exp_derivative_kernel(evals, dt) * pair.swapaxes(1, 2)
-        g = evecs.conj() @ weighted @ evecs.swapaxes(1, 2)
-        sens[start:stop] = 2.0 * np.real(g.reshape(stop - start, -1) @ ops_flat.T)
-
-    # Chain through the control parameterization, the adjoint of
-    # eval_controls: with z = s_a + i s_b per control, the complex
-    # coefficient gradient is sum_t z(t) e^{-i Omega t} S_b(t).
-    z = sens[:, 0::2] + 1j * sens[:, 1::2]  # (N, K)
-    carriers = np.asarray(params.carriers)  # (K, N_f)
-    phases = np.exp(-1j * cache.midpoints[:, None, None] * carriers)  # (N, K, N_f)
-    basis_mid = basis_matrix(params.N_b, params.T, cache.midpoints)  # (N, N_b)
-    coeff = np.tensordot(z[:, :, None] * phases, basis_mid, axes=(0, 0))
-    grad_flat = np.stack([coeff.real, coeff.imag], axis=-1).reshape(-1)
-    grad_flat += 2.0 * cfg.w_l2 * params.alpha
-    grad_flat[params.boundary_mask()] = 0.0
-    return grad_flat
+    # dJ/d conj(psi_T) of the infidelity 1 - |<V, psi_T>|^2 / h^2
+    lam = -(cache.overlap / sys.dim_essential**2) * cache.v_emb
+    sens = reverse_sequence(h0, ops, cache.p, cache.q, cache.dt, cache.states, lam,
+                            cfg.w_guard * cache.guard_coef, mask)
+    grad = controls_adjoint(params, cache.midpoints, sens)
+    grad += 2.0 * cfg.w_l2 * params.alpha
+    grad[params.boundary_mask()] = 0.0
+    return grad
 
 
 def objective_parts(

@@ -4,9 +4,8 @@ A projected limited-memory quasi-Newton method: search directions come
 from the standard two-loop recursion, steps are taken along the projection
 arc onto the box |alpha_i| <= alpha_max (with boundary splines held at
 zero), and step lengths are chosen by backtracking until the Armijo
-sufficient-decrease condition holds.  Accepted objective values are
-therefore monotonically non-increasing, and the best iterate seen is
-returned.
+sufficient-decrease condition holds.  Every accepted value is strictly
+lower than the last, so the final iterate is the best one seen.
 
 Every evaluation is one ``objective.forward`` pass; the accepted line-search
 candidate's cache goes to ``objective.backward``, so a step costs no extra
@@ -116,10 +115,9 @@ def minimize(
 
     x = project(params0.alpha.copy())
     cache = evaluate(x)
-    value, infid, guard = cache.total, cache.infidelity, cache.guard
+    value, infid = cache.total, cache.infidelity
     grad = evaluate_grad(cache)
     history = [value]
-    best_value, best_infid, best_x = value, infid, x.copy()
     converged = infid < cfg.error_threshold
     iterations = 0
     memory: deque = deque(maxlen=LBFGS_MEMORY)
@@ -139,8 +137,8 @@ def minimize(
                         moved = True
                         break
                 step *= BACKTRACK_FACTOR
-            if moved:
-                break
+            if moved or not memory:
+                break  # with no memory the first direction already was -grad
             memory.clear()  # quasi-Newton direction failed; retry with -grad
         if not moved:
             break  # no descent possible at working precision
@@ -155,8 +153,6 @@ def minimize(
         value, infid, guard = cache.total, cache.infidelity, cache.guard
         iterations += 1
         history.append(value)
-        if value < best_value:
-            best_value, best_infid, best_x = value, infid, x.copy()
         if on_iteration is not None:
             on_iteration(iterations, value, infid, guard, step)
         if infid < cfg.error_threshold:
@@ -167,8 +163,8 @@ def minimize(
             break
 
     return OptResult(
-        alpha_final=best_x,
-        fidelity=1.0 - best_infid,
+        alpha_final=x,
+        fidelity=1.0 - infid,
         objective_history=history,
         iterations=iterations,
         converged=converged,

@@ -156,11 +156,6 @@ def basis_matrix(N_b: int, T: float, t: np.ndarray) -> np.ndarray:
     return _bspline_kernel((t[:, None] - centers[None, :]) / spacing)
 
 
-def basis_values(N_b: int, T: float, t: float) -> np.ndarray:
-    """Basis spline values at a single time, shape (N_b,)."""
-    return basis_matrix(N_b, T, np.asarray([t]))[0]
-
-
 def eval_controls(params: PulseParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Rotating-frame control pair (p_k, q_k) at time(s) t, in rad/ns.
 
@@ -182,6 +177,17 @@ def eval_controls(params: PulseParams, t) -> tuple[np.ndarray, np.ndarray]:
     if scalar:
         return p[:, 0], q[:, 0]
     return p, q
+
+
+def controls_adjoint(params: PulseParams, t: np.ndarray, sens) -> np.ndarray:
+    """Adjoint of ``eval_controls``: maps sens = (dJ/dp, dJ/dq) at times t to
+    dJ/dalpha, whose (real, imag) pair is sum_t z e^{-i Omega t} S_b(t) for
+    z = dJ/dp + i dJ/dq."""
+    z = (sens[0] + 1j * sens[1]).T  # (M, K)
+    phases = np.exp(-1j * t[:, None, None] * np.asarray(params.carriers))  # (M, K, N_f)
+    basis = basis_matrix(params.N_b, params.T, t)  # (M, N_b)
+    coeff = np.tensordot(z[:, :, None] * phases, basis, axes=(0, 0))
+    return np.stack([coeff.real, coeff.imag], axis=-1).reshape(-1)
 
 
 def lab_frame_control(params: PulseParams, omega_rot: float, t) -> np.ndarray:

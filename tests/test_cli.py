@@ -298,3 +298,63 @@ class TestExportLabCommand:
             "--out", str(tmp_path / "lab.csv"),
         ])
         assert code == 1
+
+
+def _error_line(capsys) -> bool:
+    err = capsys.readouterr().err
+    return any(line.startswith("error:") for line in err.splitlines())
+
+
+class TestBadInput:
+    """Bad input exits 1 with an ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize("doc", [
+        {"seed": "abc"},
+        {"system": {"guard": "2"}},
+        {"system": {"guard": 1.5}},
+        {"system": {"omega_ghz": 5}},
+        {"optimizer": {"max_iter": "10"}},
+        {"optimizer": {"max_iter": 1.5}},
+        {"integrator": {"steps_per_ns": "20"}},
+        {"objective": {"error_threshold": "x"}},
+        {"optimizer": {"guess_scale": None}},
+    ])
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "p.json"
+        code = main([
+            "optimize", "--config", str(path), "--gate", "X_d", "--d", "2",
+            "--T", "30", "--out", str(out),
+        ])
+        assert code == 1 and _error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--gate", "X_d", "--T", "inf"],
+        ["optimize", "--gate", "X_d", "--T", "nan"],
+        ["optimize", "--gate", "X_d", "--T", "-3"],
+        ["ipr", "--gate", "X_d", "--t-start", "inf", "--mock-threshold", "20"],
+        ["ipr", "--gate", "X_d", "--t-start", "30", "--step", "inf", "--mock-threshold", "20"],
+        ["sweep", "--gate", "X_d", "--d-range", "2", "--t-start", "0", "--mock-threshold", "20"],
+        ["export-lab", "--pulse", "PULSE", "--sample-rate", "inf"],
+    ])
+    def test_duration_not_finite_and_positive(self, tmp_path, capsys, argv):
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        pulse_path = tmp_path / "pulse.json"
+        save_pulse(pulse_path, sys, default_params(sys, 10.0), 1.0, {})
+        argv = [str(pulse_path) if a == "PULSE" else a for a in argv]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1 and _error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_bad_thread_count(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("QUDITPULSE_THREADS", value)
+        code = main([
+            "sweep", "--gate", "X_d", "--d-range", "2", "--runs", "2",
+            "--mock-threshold", "21", "--out", str(tmp_path / "s.csv"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "QUDITPULSE_THREADS" in err

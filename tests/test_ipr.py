@@ -216,7 +216,7 @@ class TestMultiRun:
         sys, target = h4_setup
         base = IPRConfig(T_start=100.0, granularity=1.0, seed=14)
         mr = multi_run(
-            sys, target, base, 8, sample_low=0.8, sample_high=1.2, t_ref=100.0,
+            sys, target, base, 8, t_ref=100.0,
             optimizer=threshold_mock_optimizer(90.0),
         )
         assert mr.pilot is None

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from quditpulse.dynamics import PropagationError, propagate, step_unitaries, system_operators
+from quditpulse.dynamics import (
+    BLOCK,
+    PropagationError,
+    Trajectory,
+    guard_population_columns,
+    propagate,
+    step_unitaries,
+    system_operators,
+)
 from quditpulse.model import GateSpec, embed_target, gate, transmon_system
 from quditpulse.objective import (
-    REVERSE_BLOCK,
     ObjectiveConfig,
     backward,
     forward,
@@ -114,8 +121,6 @@ class TestGuardPenalty:
         assert guard_penalty(traj) == 0.0
 
     def test_constant_population_average(self):
-        from quditpulse.dynamics import Trajectory
-
         times = np.linspace(0.0, 10.0, 11)
         states = np.zeros((11, 3, 1), dtype=complex)
         guard_pop = np.full((11, 1), 0.25)
@@ -127,7 +132,10 @@ class TestGuardPenalty:
         params = _random_pulse(sys, 60.0, 1.0, 9)
         # 60 ns * 100 steps/ns = 6000 steps: default storage decimates ~6x
         decimated = propagate(sys, params, steps_per_ns=100)
-        full = propagate(sys, params, steps_per_ns=100, store_stride=1)
+        states = forward(sys, params, gate("X_d", 2), ObjectiveConfig(), steps_per_ns=100).states
+        _, _, _, mask = system_operators(sys)
+        times = np.linspace(0.0, params.T, len(states))
+        full = Trajectory(times, states, guard_population_columns(states, mask))
         assert len(decimated.times) < len(full.times)
         assert guard_penalty(decimated) == pytest.approx(
             guard_penalty(full), abs=1e-4
@@ -215,7 +223,7 @@ class TestGradient:
         # Several reverse blocks plus a ragged tail, and more steps than
         # MAX_STORED_STEPS, so guard terms sit on a decimated grid and the
         # adjoint state crosses block edges between guard samples.
-        n_steps = 8 * REVERSE_BLOCK + 37
+        n_steps = 8 * BLOCK + 37
         sys = transmon_system(num_qudits=1, d=3, guard=2)
         params = _random_pulse(sys, n_steps / 20, 0.8, 27)
         target = gate("H_d", 3)

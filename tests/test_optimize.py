@@ -139,6 +139,30 @@ class TestMinimize:
         assert len(forwards) >= 1 + res.iterations
         assert res.objective_history == [b.total for b in backwards]
 
+    def test_failed_first_search_not_repeated(self, monkeypatch):
+        # With empty L-BFGS memory the first direction already is -grad, so a
+        # failed search must not run again: each candidate is evaluated once.
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        params = _seeded(sys, 20.0, 0.1, 9)
+        real_forward = optimize_mod.forward
+        start = real_forward(sys, params, gate("X_d", 2), ObjectiveConfig())
+        evaluated = []
+
+        def rejecting_forward(sys_, params_, *args, **kwargs):
+            evaluated.append(params_.alpha.tobytes())
+            cache = real_forward(sys_, params_, *args, **kwargs)
+            if len(evaluated) == 1:
+                return cache
+            return dataclasses.replace(cache, total=start.total + 1.0)  # never Armijo
+
+        monkeypatch.setattr(optimize_mod, "forward", rejecting_forward)
+        res = minimize(sys, params, gate("X_d", 2), ObjectiveConfig(), max_iter=5)
+        assert res.iterations == 0
+        assert len(evaluated) > 2
+        assert len(set(evaluated)) == len(evaluated)
+        assert np.array_equal(res.alpha_final, params.alpha)
+        assert res.fidelity == 1.0 - start.infidelity
+
     def test_default_budgets(self):
         assert default_max_iter(transmon_system(num_qudits=1, d=2)) == 500
         assert default_max_iter(transmon_system(num_qudits=2, d=2)) == 1000

@@ -6,8 +6,8 @@ from quditpulse.pulse import (
     PulseParams,
     alpha_bound,
     basis_matrix,
-    basis_values,
     carrier_frequencies,
+    controls_adjoint,
     default_params,
     eval_controls,
     lab_frame_control,
@@ -95,17 +95,17 @@ class TestBasis:
     def test_compact_support(self):
         n_b, T = 9, 70.0
         spacing = T / (n_b - 1)
-        values = basis_values(n_b, T, 0.0)
+        values = basis_matrix(n_b, T, [0.0])[0]
         # only splines centered within 1.5 spacings of t=0 contribute
         assert np.all(values[2:] == 0.0)
         center = 4 * spacing
         for t in (center - 1.6 * spacing, center + 1.6 * spacing):
-            assert basis_values(n_b, T, t)[4] == 0.0
+            assert basis_matrix(n_b, T, [t])[0, 4] == 0.0
 
     def test_interior_peak(self):
         n_b, T = 9, 70.0
         spacing = T / (n_b - 1)
-        assert basis_values(n_b, T, 4 * spacing)[4] == pytest.approx(0.75)
+        assert basis_matrix(n_b, T, [4 * spacing])[0, 4] == pytest.approx(0.75)
 
     def test_range(self):
         vals = basis_matrix(7, 50.0, np.linspace(0, 50, 333))
@@ -113,9 +113,9 @@ class TestBasis:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            basis_values(5, 10.0, 10.5)
+            basis_matrix(5, 10.0, [10.5])
         with pytest.raises(ValueError):
-            basis_values(5, 10.0, -0.5)
+            basis_matrix(5, 10.0, [-0.5])
 
 
 class TestEvalControls:
@@ -156,6 +156,20 @@ class TestEvalControls:
         params = default_params(sys, 20.0)
         p, q = eval_controls(params, 10.0)
         assert p.shape == (1,) and q.shape == (1,)
+
+    @pytest.mark.parametrize("num_qudits", [1, 2])
+    def test_adjoint_dot_product(self, num_qudits):
+        # <sens, controls(alpha)> = <controls_adjoint(sens), alpha>
+        sys = transmon_system(num_qudits=num_qudits, d=3, guard=2)
+        params = default_params(sys, 40.0)
+        rng = np.random.default_rng(17)
+        params = params.with_alpha(random_guess(params, 1.0, rng))
+        t = np.sort(rng.uniform(0.0, 40.0, 300))
+        sens = rng.standard_normal((2, params.num_controls, t.size))
+        p, q = eval_controls(params, t)
+        lhs = np.sum(sens[0] * p) + np.sum(sens[1] * q)
+        rhs = controls_adjoint(params, t, sens) @ params.alpha
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
 class TestLabFrame:
