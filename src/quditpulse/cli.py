@@ -183,7 +183,8 @@ def cmd_optimize(args) -> int:
         writer.writerows(log_rows)
     print(
         f"gate={args.gate} d={args.d} T={args.T} fidelity={result.fidelity:.6f} "
-        f"iterations={result.iterations} converged={result.converged}"
+        f"iterations={result.iterations} converged={result.converged} "
+        f"reason={result.reason}"
     )
     return EXIT_OK if result.converged else EXIT_SEARCH_FAILED
 

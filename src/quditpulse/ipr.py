@@ -75,6 +75,9 @@ class IPRRecord:
     success: bool
     seed_kind: str  # random | truncated | extended
     step_at_attempt: float
+    reason: str  # why the optimizer stopped (OptResult.reason)
+    n_forward: int
+    n_gradient: int
 
 
 @dataclass
@@ -158,7 +161,7 @@ def threshold_mock_optimizer(t_threshold: float) -> Optimizer:
             fidelity=fid,
             objective_history=[1.0 - fid],
             iterations=1,
-            converged=params.T >= t_threshold,
+            reason="converged" if params.T >= t_threshold else "max_iter",
         )
 
     return run
@@ -196,7 +199,10 @@ def ipr_run(
         fidelity = result.fidelity
         success = fidelity >= 1.0 - cfg.error_threshold
         records.append(
-            IPRRecord(len(records), t_current, fidelity, success, seed_kind, step)
+            IPRRecord(
+                len(records), t_current, fidelity, success, seed_kind, step,
+                result.reason, result.n_forward, result.n_gradient,
+            )
         )
 
         if success:

@@ -7,6 +7,16 @@ zero), and step lengths are chosen by backtracking until the Armijo
 sufficient-decrease condition holds.  Every accepted value is strictly
 lower than the last, so the final iterate is the best one seen.
 
+A run stops for one of five reasons, recorded in ``OptResult.reason``:
+
+* ``converged``: the trace infidelity fell below the error threshold;
+* ``max_iter``: the iteration budget ran out;
+* ``stalled``: an accepted step lowered the objective by at most
+  ``FTOL * max(|f_k|, |f_k+1|, 1)`` (L-BFGS-B's relative-decrease stop);
+* ``kkt``: the projected gradient vanished;
+* ``no_descent``: no search direction passed the Armijo test within
+  ``MAX_LINE_SEARCH`` evaluations.
+
 Every evaluation is one ``objective.forward`` pass; the accepted line-search
 candidate's cache goes to ``objective.backward``, so a step costs no extra
 forward sweep and Armijo tests and the history use the same values.
@@ -29,6 +39,8 @@ LBFGS_MEMORY = 10
 ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
 MIN_BACKTRACK = 1e-14
+MAX_LINE_SEARCH = 20  # objective evaluations per search direction
+FTOL = 1e7 * np.finfo(float).eps  # relative decrease below which a run has stalled
 PROJECTED_GRAD_TOL = 1e-9
 
 MAX_ITER_SINGLE = 500
@@ -47,7 +59,13 @@ class OptResult:
     fidelity: float
     objective_history: list[float] = field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
+    reason: str = ""  # converged | max_iter | stalled | kkt | no_descent
+    n_forward: int = 0
+    n_gradient: int = 0
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
 
 
 def default_max_iter(sys: QuditSystem) -> int:
@@ -83,10 +101,14 @@ def minimize(
 ) -> OptResult:
     """Minimize the pulse objective over alpha within the amplitude box.
 
-    Terminates when the trace infidelity drops below cfg.error_threshold,
-    the iteration budget is exhausted, the projected gradient vanishes, or
-    no descent step can be found.  ``on_iteration`` receives
-    (iteration, objective, infidelity, guard penalty, step size).
+    Terminates, in this order of precedence after each accepted step, when
+    the trace infidelity drops below cfg.error_threshold (``converged``),
+    the objective decreased by no more than FTOL relative (``stalled``), or
+    the projected gradient vanishes (``kkt``); before a step, when the
+    iteration budget is exhausted (``max_iter``) or no line search passes
+    the Armijo test within MAX_LINE_SEARCH evaluations (``no_descent``).
+    ``on_iteration`` receives (iteration, objective, infidelity, guard
+    penalty, step size).
     """
     if max_iter is None:
         max_iter = default_max_iter(sys)
@@ -118,21 +140,26 @@ def minimize(
     value, infid = cache.total, cache.infidelity
     grad = evaluate_grad(cache)
     history = [value]
-    converged = infid < cfg.error_threshold
+    # "max_iter" until another rule fires: the reason if the budget runs out.
+    reason = "converged" if infid < cfg.error_threshold else "max_iter"
     iterations = 0
+    n_forward = 1
     memory: deque = deque(maxlen=LBFGS_MEMORY)
 
-    while not converged and iterations < max_iter:
+    while reason == "max_iter" and iterations < max_iter:
         moved = False
         for direction in (_two_loop(grad, memory), -grad):
             step = 1.0
-            while step > MIN_BACKTRACK:
+            trials = 0
+            while step > MIN_BACKTRACK and trials < MAX_LINE_SEARCH:
                 candidate = project(x + step * direction)
                 delta = candidate - x
                 slope = grad @ delta
                 if slope < 0.0:
                     cache = None  # at most one forward cache alive
                     cache = evaluate(candidate)
+                    trials += 1
+                    n_forward += 1
                     if cache.total <= value + ARMIJO_C * slope:
                         moved = True
                         break
@@ -141,7 +168,8 @@ def minimize(
                 break  # with no memory the first direction already was -grad
             memory.clear()  # quasi-Newton direction failed; retry with -grad
         if not moved:
-            break  # no descent possible at working precision
+            reason = "no_descent"
+            break
 
         new_grad = evaluate_grad(cache)
         s = candidate - x
@@ -149,23 +177,25 @@ def minimize(
         sy = s @ y
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             memory.append((s, y, 1.0 / sy))
-        x, grad = candidate, new_grad
+        x, grad, previous = candidate, new_grad, value
         value, infid, guard = cache.total, cache.infidelity, cache.guard
         iterations += 1
         history.append(value)
         if on_iteration is not None:
             on_iteration(iterations, value, infid, guard, step)
         if infid < cfg.error_threshold:
-            converged = True
-            break
-        projected_grad = x - project(x - grad)
-        if np.max(np.abs(projected_grad)) < PROJECTED_GRAD_TOL:
-            break
+            reason = "converged"
+        elif previous - value <= FTOL * max(abs(previous), abs(value), 1.0):
+            reason = "stalled"
+        elif np.max(np.abs(x - project(x - grad))) < PROJECTED_GRAD_TOL:
+            reason = "kkt"
 
     return OptResult(
         alpha_final=x,
         fidelity=1.0 - infid,
         objective_history=history,
         iterations=iterations,
-        converged=converged,
+        reason=reason,
+        n_forward=n_forward,
+        n_gradient=iterations + 1,  # the start point and every accepted step
     )

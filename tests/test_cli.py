@@ -82,7 +82,7 @@ class TestOptimizeCommand:
         ])
         assert code == 1
 
-    def test_custom_log_path(self, tmp_path):
+    def test_custom_log_path(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "cfg.json", seed=0)
         out, log = tmp_path / "pulse.json", tmp_path / "my.log.csv"
         code = main([
@@ -91,6 +91,7 @@ class TestOptimizeCommand:
         ])
         assert code == 0
         assert log.exists()
+        assert "reason=converged" in capsys.readouterr().out
 
 
 class TestIprCommand:
@@ -104,6 +105,10 @@ class TestIprCommand:
         doc = json.loads(out.read_text())
         assert doc["summary"]["T_best"] == 76.0
         assert [r["T"] for r in doc["records"]] == [70, 78, 70, 74, 76, 74, 75]
+        assert [r["reason"] for r in doc["records"]] == [
+            "converged" if r["success"] else "max_iter" for r in doc["records"]
+        ]
+        assert all(r["n_forward"] == r["n_gradient"] == 0 for r in doc["records"])
         assert doc["best_pulse"]["T_ns"] == 76.0
         assert doc["config"]["step"] == 8.0
 

@@ -8,9 +8,11 @@ from quditpulse.ipr import (
     ipr_run,
     multi_run,
     nearest_power_of_two_step,
+    standard_optimizer,
     threshold_mock_optimizer,
 )
 from quditpulse.model import gate, transmon_system
+from quditpulse.objective import ObjectiveConfig
 from quditpulse.optimize import OptResult
 
 
@@ -30,7 +32,7 @@ def _fidelity_mock(fid_of_t):
             fidelity=fid,
             objective_history=[1 - fid],
             iterations=1,
-            converged=fid >= 0.999,
+            reason="converged" if fid >= 0.999 else "max_iter",
         )
 
     return run
@@ -227,3 +229,21 @@ class TestMultiRun:
         sys, target = h4_setup
         with pytest.raises(ValueError):
             multi_run(sys, target, IPRConfig(T_start=10.0), 0)
+
+
+def test_criterion_7_pilot_walk_and_evaluation_budget():
+    # The pilot search of acceptance criterion 7 with the real optimizer.  Its
+    # walk pins the search path; the forward budget fails when line searches
+    # spend their evaluations on roundoff-sized steps.
+    sys = transmon_system(num_qudits=1, d=2, guard=2)
+    cfg = IPRConfig(T_start=50.0, guess_scale=0.01, seed=1234)
+    optimizer = standard_optimizer(ObjectiveConfig(), max_iter=500)
+    res = ipr_run(sys, gate("H_d", 2), cfg, optimizer)
+    walk = [(r.T, r.success) for r in res.records]
+    assert walk == [(T, True) for T in (50.0, 46.0, 42.0, 38.0, 34.0, 30.0, 26.0)] + [
+        (T, False) for T in (22.0, 24.0, 25.0)
+    ]
+    assert res.T_best == 26.0
+    assert all(r.reason for r in res.records)
+    assert all(r.n_gradient >= 1 for r in res.records)
+    assert sum(r.n_forward for r in res.records) <= 120

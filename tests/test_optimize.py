@@ -6,7 +6,12 @@ import pytest
 from quditpulse import optimize as optimize_mod
 from quditpulse.model import GateSpec, gate, transmon_system
 from quditpulse.objective import ObjectiveConfig
-from quditpulse.optimize import OptimizerAbort, default_max_iter, minimize
+from quditpulse.optimize import (
+    MAX_LINE_SEARCH,
+    OptimizerAbort,
+    default_max_iter,
+    minimize,
+)
 from quditpulse.pulse import default_params, random_guess
 
 
@@ -22,7 +27,9 @@ class TestMinimize:
         target = GateSpec("I", 2, np.eye(2))
         res = minimize(sys, params, target, ObjectiveConfig())
         assert res.converged
+        assert res.reason == "converged"
         assert res.iterations == 0
+        assert (res.n_forward, res.n_gradient) == (1, 1)
         assert res.fidelity == pytest.approx(1.0, abs=1e-12)
 
     def test_x2_converges_at_30ns(self):
@@ -30,14 +37,17 @@ class TestMinimize:
         params = _seeded(sys, 30.0, 0.01, 0)
         res = minimize(sys, params, gate("X_d", 2), ObjectiveConfig(), max_iter=300)
         assert res.converged
+        assert res.reason == "converged"
         assert res.fidelity >= 0.999
 
     def test_iteration_budget(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         params = _seeded(sys, 30.0, 0.1, 1)
         res = minimize(sys, params, gate("H_d", 2), ObjectiveConfig(), max_iter=1)
-        assert res.iterations <= 1
-        assert len(res.objective_history) <= 2
+        assert res.iterations == 1
+        assert res.reason == "max_iter"
+        assert not res.converged
+        assert len(res.objective_history) == 2
 
     def test_bounds_respected_exactly(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
@@ -132,8 +142,10 @@ class TestMinimize:
         monkeypatch.setattr(optimize_mod, "backward", counting_backward)
         res = minimize(sys, params, gate("X_d", 2), ObjectiveConfig(), max_iter=8)
         assert res.iterations == 8
+        assert res.reason == "max_iter"
         # One gradient at the start point plus one per accepted step.
         assert len(backwards) == res.iterations + 1
+        assert (res.n_forward, res.n_gradient) == (len(forwards), len(backwards))
         # Every forward after the start point's is a line-search evaluation.
         assert backwards[0] is forwards[0]
         assert len(forwards) >= 1 + res.iterations
@@ -141,7 +153,8 @@ class TestMinimize:
 
     def test_failed_first_search_not_repeated(self, monkeypatch):
         # With empty L-BFGS memory the first direction already is -grad, so a
-        # failed search must not run again: each candidate is evaluated once.
+        # failed search must not run again: each candidate is evaluated once,
+        # and the search gives up after MAX_LINE_SEARCH of them.
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         params = _seeded(sys, 20.0, 0.1, 9)
         real_forward = optimize_mod.forward
@@ -158,10 +171,37 @@ class TestMinimize:
         monkeypatch.setattr(optimize_mod, "forward", rejecting_forward)
         res = minimize(sys, params, gate("X_d", 2), ObjectiveConfig(), max_iter=5)
         assert res.iterations == 0
-        assert len(evaluated) > 2
+        assert res.reason == "no_descent"
+        assert len(evaluated) == 1 + MAX_LINE_SEARCH
         assert len(set(evaluated)) == len(evaluated)
+        assert (res.n_forward, res.n_gradient) == (1 + MAX_LINE_SEARCH, 1)
         assert np.array_equal(res.alpha_final, params.alpha)
         assert res.fidelity == 1.0 - start.infidelity
+
+    def test_relative_decrease_stop(self, monkeypatch):
+        # Every step passes Armijo but lowers the objective by only 1e-12, far
+        # below FTOL relative: the run stops after one step instead of
+        # spending its budget on roundoff-sized progress.
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        params = _seeded(sys, 20.0, 0.1, 10)
+        real_forward = optimize_mod.forward
+        calls = []
+
+        def creeping_forward(*args, **kwargs):
+            calls.append(None)
+            cache = real_forward(*args, **kwargs)
+            return dataclasses.replace(cache, total=1.0 - 1e-12 * len(calls))
+
+        monkeypatch.setattr(optimize_mod, "forward", creeping_forward)
+        monkeypatch.setattr(
+            optimize_mod, "backward", lambda cache: np.full_like(params.alpha, 1e-8)
+        )
+        res = minimize(sys, params, gate("X_d", 2), ObjectiveConfig(), max_iter=50)
+        assert res.reason == "stalled"
+        assert res.iterations == 1
+        assert not res.converged
+        assert (res.n_forward, res.n_gradient) == (2, 2)
+        assert res.objective_history == [1.0 - 1e-12, 1.0 - 2e-12]
 
     def test_default_budgets(self):
         assert default_max_iter(transmon_system(num_qudits=1, d=2)) == 500
