@@ -167,6 +167,8 @@ def control_operators(sys: QuditSystem) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-qudit drive operator pairs (A_k, B_k), both Hermitian.
 
     A_k couples to the in-phase control p_k(t), B_k to the quadrature q_k(t).
+    ``dynamics`` builds exp(-1j dt (p A_k + q B_k)) in closed form from this
+    form, A = a + a^dag and B = 1j (a - a^dag); the tests check the two agree.
     """
     pairs = []
     for a in _promoted_lowering(sys):

@@ -9,11 +9,15 @@ where the first term is the global-phase-invariant trace infidelity on the
 essential subspace and the second is the time-averaged population of
 guard-containing basis states on the decimated trajectory grid.
 
-``forward`` propagates once, keeping every step state, and returns a
+``forward`` propagates once through the Strang steps of
+``dynamics.propagate_sequence``, keeping every step state, and returns a
 ``ForwardCache`` with the value parts.  ``backward(cache)`` turns it into
-the gradient without a second sweep: it hands the infidelity's final-state
-cotangent and the guard weights to ``dynamics.reverse_sequence``, the
+the gradient without a second forward sweep: it hands the infidelity's
+final-state cotangent and the guard weights to
+``dynamics.reverse_sequence``, the exact adjoint of those steps, the
 control sensitivities to ``pulse.controls_adjoint``, and adds the L2 term.
+The gradient is exact for the discrete propagator, so it matches finite
+differences of the same objective, not of the continuous-time one.
 The other entry points wrap these; ``gradient(..., method="fd")`` is a
 finite-difference fallback.
 """
@@ -128,10 +132,10 @@ def forward(
     steps_per_ns: int | None = None,
 ) -> ForwardCache:
     """Propagate once, keeping every step state, and evaluate the objective."""
-    h0, ops, embed, mask = system_operators(sys)
+    split, embed, mask = system_operators(sys)
     dt, midpoints, p, q = midpoint_controls(sys, params, steps_per_ns)
     n_steps = p.shape[1]
-    states = propagate_sequence(h0, ops, p, q, dt, embed, np.arange(n_steps + 1))
+    states = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
     v_emb = embed_target(target, sys)
     infid = trace_infidelity(states[-1], v_emb, sys.dim_essential)
     idx = stored_indices(n_steps)
@@ -147,10 +151,10 @@ def forward(
 def backward(cache: ForwardCache) -> np.ndarray:
     """Adjoint gradient of ``cache.total`` in alpha; pinned coefficients get 0."""
     sys, params, cfg = cache.sys, cache.params, cache.cfg
-    h0, ops, _, mask = system_operators(sys)
+    split, _, mask = system_operators(sys)
     # dJ/d conj(psi_T) of the infidelity 1 - |<V, psi_T>|^2 / h^2
     lam = -(cache.overlap / sys.dim_essential**2) * cache.v_emb
-    sens = reverse_sequence(h0, ops, cache.p, cache.q, cache.dt, cache.states, lam,
+    sens = reverse_sequence(split, cache.p, cache.q, cache.dt, cache.states, lam,
                             cfg.w_guard * cache.guard_coef, mask)
     grad = controls_adjoint(params, cache.midpoints, sens)
     grad += 2.0 * cfg.w_l2 * params.alpha

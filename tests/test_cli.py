@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from quditpulse.cli import main
+from quditpulse.dynamics import INTEGRATOR
 from quditpulse.model import transmon_system
 from quditpulse.pulse import (
     default_params,
@@ -41,6 +42,7 @@ class TestOptimizeCommand:
         assert fidelity >= 0.999
         assert params.T == 30.0
         assert meta["gate"] == "X_d"
+        assert meta["integrator"] == INTEGRATOR == "strang"
         log = out.parent / (out.name + ".iters.csv")
         with open(log) as fh:
             rows = list(csv.reader(fh))
@@ -110,6 +112,7 @@ class TestIprCommand:
         ]
         assert all(r["n_forward"] == r["n_gradient"] == 0 for r in doc["records"])
         assert doc["best_pulse"]["T_ns"] == 76.0
+        assert doc["best_pulse"]["metadata"]["integrator"] == INTEGRATOR
         assert doc["config"]["step"] == 8.0
 
     def test_search_failure_exit_code(self, tmp_path):
@@ -134,6 +137,7 @@ class TestIprCommand:
         doc = json.loads(out.read_text())
         assert doc["summary"]["fidelity_best"] >= 0.999
         assert doc["best_pulse"]["fidelity"] >= 0.999
+        assert doc["best_pulse"]["metadata"]["integrator"] == INTEGRATOR
 
 
 class TestSweepCommand:
@@ -249,6 +253,19 @@ class TestSimulateCommand:
                 )
         guard_max = max(float(r["guard_avg"]) for r in rows)
         assert guard_max <= 5e-3
+
+    def test_pulse_file_without_integrator_tag(self, tmp_path):
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        pulse_path = tmp_path / "pulse.json"
+        save_pulse(pulse_path, sys, default_params(sys, 10.0), 0.5, {"gate": "X_d"})
+        doc = json.loads(pulse_path.read_text())
+        del doc["metadata"]["integrator"]
+        pulse_path.write_text(json.dumps(doc))
+        sys2, params, fidelity, meta = load_pulse(pulse_path)
+        assert sys2 == sys and params.T == 10.0 and fidelity == 0.5
+        assert meta == {"gate": "X_d", "tool_version": doc["metadata"]["tool_version"]}
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--pulse", str(pulse_path), "--out", str(out)]) == 0
 
     def test_byte_identical_reruns(self, tmp_path):
         sys = transmon_system(num_qudits=1, d=2, guard=2)

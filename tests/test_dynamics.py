@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,19 @@ from quditpulse.dynamics import (
     propagate,
     propagate_sequence,
     step_grid,
+    step_unitaries,
     stored_indices,
     system_operators,
 )
-from quditpulse.model import drift_hamiltonian, embed_isometry, transmon_system
+from quditpulse.model import (
+    control_operators,
+    drift_hamiltonian,
+    embed_isometry,
+    embed_target,
+    gate,
+    transmon_system,
+)
+from quditpulse.objective import trace_infidelity
 from quditpulse.pulse import default_params, eval_controls, random_guess
 
 
@@ -65,23 +76,24 @@ class TestPropagate:
     def test_time_reversal(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
         params = _random_pulse(sys, 12.0, 0.7, 8)
-        h0, ops, embed, _ = system_operators(sys)
+        split, embed, _ = system_operators(sys)
         n_steps, dt = step_grid(params.T, 20)
         mid = (np.arange(n_steps) + 0.5) * dt
         p, q = eval_controls(params, mid)
-        forward = propagate_sequence(h0, ops, p, q, dt, embed)[0]
+        forward = propagate_sequence(split, p, q, dt, embed)[0]
+        negated_drift = replace(split, drift_vals=-split.drift_vals)
         back = propagate_sequence(
-            -h0, ops, -p[:, ::-1], -q[:, ::-1], dt, forward
+            negated_drift, -p[:, ::-1], -q[:, ::-1], dt, forward
         )[0]
         assert np.max(np.abs(back - embed)) < 1e-8
 
     def test_non_finite_controls_raise(self):
         sys = transmon_system(num_qudits=1, d=2, guard=1)
-        h0, ops, embed, _ = system_operators(sys)
+        split, embed, _ = system_operators(sys)
         p = np.array([[np.nan, 0.0]])
         q = np.zeros_like(p)
         with pytest.raises(PropagationError):
-            propagate_sequence(h0, ops, p, q, 0.5, embed)
+            propagate_sequence(split, p, q, 0.5, embed)
 
     def test_steps_per_ns_validation(self):
         sys = transmon_system(num_qudits=1, d=2, guard=1)
@@ -91,6 +103,69 @@ class TestPropagate:
     def test_default_resolution(self):
         assert default_steps_per_ns(transmon_system(num_qudits=1, d=2)) == 20
         assert default_steps_per_ns(transmon_system(num_qudits=2, d=2)) == 40
+
+
+SYSTEMS = [(1, d) for d in range(2, 9)] + [(2, 2), (2, 3)]
+
+
+def _eigh_exponential(h, dt):
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(-1j * dt * evals)) @ evecs.conj().T
+
+
+class TestStrangStep:
+    @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
+    def test_closed_form_control_exponential(self, num_qudits, d):
+        sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
+        split, _, _ = system_operators(sys)
+        rng = np.random.default_rng(100 * num_qudits + d)
+        # zero, negative in-phase only, pure quadrature, both negative, random
+        p = np.concatenate([[0.0, -0.2, 0.0, -0.15], rng.uniform(-2.0, 2.0, 8)])
+        q = np.concatenate([[0.0, 0.0, 0.3, -0.25], rng.uniform(-2.0, 2.0, 8)])
+        p = np.stack([p, np.roll(p, 3)])[:num_qudits]
+        q = np.stack([q, np.roll(q, 5)])[:num_qudits]
+        dt = 0.05
+        # With zero drift the Strang step E K E is K itself.
+        no_drift = replace(split, drift_vals=np.zeros_like(split.drift_vals))
+        evals, evecs, kmat = step_unitaries(no_drift, p, q, dt, slice(None))
+        ops = control_operators(sys)
+        for m in range(p.shape[1]):
+            h_c = sum(p[k, m] * a_op + q[k, m] * b_op for k, (a_op, b_op) in enumerate(ops))
+            assert np.max(np.abs(kmat[m] - _eigh_exponential(h_c, dt))) <= 1e-13
+            rebuilt = (evecs[m] * evals[m]) @ evecs[m].conj().T
+            assert np.max(np.abs(rebuilt - h_c)) <= 1e-13 * max(1.0, np.max(np.abs(h_c)))
+
+    @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
+    def test_step_is_half_drift_control_half_drift(self, num_qudits, d):
+        sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
+        split, _, _ = system_operators(sys)
+        rng = np.random.default_rng(d)
+        p, q = rng.uniform(-0.3, 0.3, (2, num_qudits, 4))
+        dt = 1.0 / default_steps_per_ns(sys)
+        _, _, steps = step_unitaries(split, p, q, dt, slice(None))
+        half = _eigh_exponential(drift_hamiltonian(sys), 0.5 * dt)
+        ops = control_operators(sys)
+        for m in range(p.shape[1]):
+            h_c = sum(p[k, m] * a_op + q[k, m] * b_op for k, (a_op, b_op) in enumerate(ops))
+            assert np.max(np.abs(steps[m] - half @ _eigh_exponential(h_c, dt) @ half)) <= 1e-13
+
+    @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
+    def test_integrator_error_at_default_resolution(self, num_qudits, d):
+        # Stated tolerance: |infidelity(default steps/ns) - infidelity(640
+        # steps/ns)| <= 1e-5, two orders below the 1e-3 error threshold.
+        sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
+        target = embed_target(gate("X_d" if num_qudits == 1 else "SWAP_d", d), sys)
+        T = 8.0 if num_qudits == 1 else 3.0
+        for seed in range(3):
+            params = _random_pulse(sys, T, 0.3, seed)
+            infid = [
+                trace_infidelity(
+                    propagate(sys, params, n, store_trajectory=False).states[-1],
+                    target, sys.dim_essential,
+                )
+                for n in (None, 640)
+            ]
+            assert abs(infid[0] - infid[1]) <= 1e-5
 
 
 class TestTrajectory:

@@ -7,10 +7,16 @@ from quditpulse.dynamics import (
     Trajectory,
     guard_population_columns,
     propagate,
-    step_unitaries,
     system_operators,
 )
-from quditpulse.model import GateSpec, embed_target, gate, transmon_system
+from quditpulse.model import (
+    GateSpec,
+    control_operators,
+    drift_hamiltonian,
+    embed_target,
+    gate,
+    transmon_system,
+)
 from quditpulse.objective import (
     ObjectiveConfig,
     backward,
@@ -31,9 +37,13 @@ def _random_pulse(sys, T, scale, seed):
 
 
 def _per_step_reference_gradient(cache):
-    """The step-by-step reverse loop that the batched pass replaced."""
+    """A step-by-step reverse loop through the Strang steps S = E K E, with
+    E and K built from plain eigendecompositions of H0 and p A + q B."""
     sys, params, cfg, dt = cache.sys, cache.params, cache.cfg, cache.dt
-    h0, ops, _, mask = system_operators(sys)
+    _, _, mask = system_operators(sys)
+    ops = control_operators(sys)
+    drift_vals, drift_vecs = np.linalg.eigh(drift_hamiltonian(sys))
+    half = (drift_vecs * np.exp(-0.5j * dt * drift_vals)) @ drift_vecs.conj().T
     n_steps = cache.p.shape[1]
     guard_coef = cfg.w_guard * cache.guard_coef
     lam = -(cache.overlap / sys.dim_essential**2) * cache.v_emb
@@ -41,10 +51,10 @@ def _per_step_reference_gradient(cache):
     s_a = np.empty((len(ops), n_steps))
     s_b = np.empty((len(ops), n_steps))
     for m in range(n_steps - 1, -1, -1):
-        evals, evecs, _ = step_unitaries(h0, ops, cache.p, cache.q, dt, slice(m, m + 1))
-        basis_q, evals = evecs[0], evals[0]
-        lam_t = basis_q.conj().T @ lam
-        psi_t = basis_q.conj().T @ cache.states[m]
+        h_c = sum(cache.p[k, m] * a_op + cache.q[k, m] * b_op for k, (a_op, b_op) in enumerate(ops))
+        evals, basis_q = np.linalg.eigh(h_c)
+        lam_t = basis_q.conj().T @ (half.conj().T @ lam)
+        psi_t = basis_q.conj().T @ (half @ cache.states[m])
         mean = 0.5 * (evals[:, None] + evals[None, :])
         gap = evals[:, None] - evals[None, :]
         kernel = -1j * dt * np.exp(-1j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
@@ -52,7 +62,7 @@ def _per_step_reference_gradient(cache):
         for k, (a_op, b_op) in enumerate(ops):
             s_a[k, m] = 2.0 * np.real(np.sum(kernel_p * (basis_q.conj().T @ a_op @ basis_q)))
             s_b[k, m] = 2.0 * np.real(np.sum(kernel_p * (basis_q.conj().T @ b_op @ basis_q)))
-        lam = basis_q @ (np.exp(1j * dt * evals)[:, None] * lam_t)
+        lam = half.conj().T @ (basis_q @ (np.exp(1j * dt * evals)[:, None] * lam_t))
         lam = lam + guard_coef[m] * (mask[:, None] * cache.states[m])
     basis_mid = basis_matrix(params.N_b, params.T, cache.midpoints)
     grad = np.empty((params.num_controls, params.num_carriers, params.N_b, 2))
@@ -133,7 +143,7 @@ class TestGuardPenalty:
         # 60 ns * 100 steps/ns = 6000 steps: default storage decimates ~6x
         decimated = propagate(sys, params, steps_per_ns=100)
         states = forward(sys, params, gate("X_d", 2), ObjectiveConfig(), steps_per_ns=100).states
-        _, _, _, mask = system_operators(sys)
+        _, _, mask = system_operators(sys)
         times = np.linspace(0.0, params.T, len(states))
         full = Trajectory(times, states, guard_population_columns(states, mask))
         assert len(decimated.times) < len(full.times)
