@@ -1,19 +1,23 @@
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
+import quditpulse.ipr as ipr_mod
 from quditpulse.ipr import (
     IPRConfig,
     ipr_run,
     multi_run,
     nearest_power_of_two_step,
+    search_resolution,
     standard_optimizer,
     threshold_mock_optimizer,
 )
 from quditpulse.model import gate, transmon_system
-from quditpulse.objective import ObjectiveConfig
+from quditpulse.objective import ObjectiveConfig, forward
 from quditpulse.optimize import OptResult
+from quditpulse.pulse import default_params
 
 
 @pytest.fixture(scope="module")
@@ -231,14 +235,169 @@ class TestMultiRun:
             multi_run(sys, target, IPRConfig(T_start=10.0), 0)
 
 
+TAG = 2  # a coefficient no boundary spline pins, for one or two qudits
+
+
+class _FakeSearch:
+    """Stands in for ``minimize`` and the certificate's propagation.
+
+    ``minimize`` returns the queued results in order and records the start
+    alpha and resolution of each call; the infidelity of a pulse is looked
+    up by (``alpha[TAG]``, steps per ns), the coefficient that tags a fake
+    result's pulse.
+    """
+
+    def __init__(self, monkeypatch, results, infidelities):
+        self.results = list(results)
+        self.infidelities = infidelities
+        self.minimize_calls = []
+        self.propagations = []
+        monkeypatch.setattr(ipr_mod, "minimize", self.minimize)
+        monkeypatch.setattr(ipr_mod, "_infidelity", self.infidelity)
+
+    def minimize(self, sys, params, target, cfg, max_iter, steps_per_ns):
+        self.minimize_calls.append((params.alpha.copy(), steps_per_ns))
+        return self.results.pop(0)
+
+    def infidelity(self, sys, params, target, steps_per_ns):
+        self.propagations.append(steps_per_ns)
+        return self.infidelities[(float(params.alpha[TAG]), steps_per_ns)]
+
+
+def _converged(alpha0: float, size: int, n_forward: int, n_gradient: int) -> OptResult:
+    alpha = np.zeros(size)
+    alpha[TAG] = alpha0
+    return OptResult(alpha, 1.0, [0.0], n_gradient - 1, "converged", n_forward, n_gradient)
+
+
+class TestCertificate:
+    @pytest.fixture()
+    def x2(self):
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        return sys, default_params(sys, 20.0), gate("X_d", 2)
+
+    def test_resolutions(self):
+        assert search_resolution(20) == 5
+        assert search_resolution(40) == 10
+        assert search_resolution(1) == 1
+        assert search_resolution(3) == 1
+
+    @pytest.mark.parametrize("num_qudits, gate_name, search, claim",
+                             [(1, "X_d", 5, 20), (2, "CNOT", 10, 40)])
+    def test_default_resolutions(self, monkeypatch, num_qudits, gate_name, search, claim):
+        sys = transmon_system(num_qudits=num_qudits, d=2, guard=2)
+        params = default_params(sys, 20.0)
+        fake = _FakeSearch(monkeypatch, [_converged(0.01, params.alpha.size, 5, 2)],
+                           {(0.01, claim): 4e-4, (0.01, 2 * claim): 5e-4})
+        result = standard_optimizer()(sys, params, gate(gate_name, 2))
+        assert [res for _, res in fake.minimize_calls] == [search]
+        assert fake.propagations == [claim, 2 * claim]
+        assert result.reason == "converged"
+        assert result.fidelity == 1.0 - 5e-4
+
+    def test_explicit_resolution_of_one_runs_no_coarse_pass(self, monkeypatch, x2):
+        sys, params, target = x2
+        fake = _FakeSearch(monkeypatch, [_converged(0.01, params.alpha.size, 5, 2)],
+                           {(0.01, 1): 2e-3})
+        result = standard_optimizer(steps_per_ns=1)(sys, params, target)
+        # The search already ran at the claim resolution: no warm start.
+        assert [res for _, res in fake.minimize_calls] == [1]
+        assert fake.propagations == [1]
+        assert result.reason == "uncertified"
+        assert result.fidelity == 1.0 - 2e-3
+
+    def test_warm_start_at_claim_resolution(self, monkeypatch, x2):
+        sys, params, target = x2
+        coarse = _converged(0.01, params.alpha.size, 7, 3)
+        fine = _converged(0.02, params.alpha.size, 4, 2)
+        fake = _FakeSearch(monkeypatch, [coarse, fine], {
+            (0.01, 20): 2e-3,  # converged on the coarse grid, misses on the claim grid
+            (0.02, 20): 6e-4,
+            (0.02, 40): 7e-4,
+        })
+        result = standard_optimizer()(sys, params, target)
+        (alpha_coarse, res_coarse), (alpha_warm, res_warm) = fake.minimize_calls
+        assert res_coarse == 5 and np.array_equal(alpha_coarse, params.alpha)
+        assert res_warm == 20 and np.array_equal(alpha_warm, coarse.alpha_final)
+        assert fake.propagations == [20, 20, 40]
+        assert result.n_forward == 11 and result.n_gradient == 5
+        assert np.array_equal(result.alpha_final, fine.alpha_final)
+        assert result.reason == "converged"
+        assert result.fidelity == 1.0 - 7e-4
+
+    def test_pass_at_claim_fail_at_double_is_no_success(self, monkeypatch, x2):
+        sys, params, target = x2
+        fake = _FakeSearch(monkeypatch, [_converged(0.01, params.alpha.size, 5, 2)],
+                           {(0.01, 20): 5e-4, (0.01, 40): 2e-3})
+        cfg = IPRConfig(T_start=20.0, step=4.0, max_attempts=1)
+        res = ipr_run(sys, target, cfg, standard_optimizer())
+        # Passing at the claim resolution, the pulse needs no warm start there.
+        assert [r for _, r in fake.minimize_calls] == [5]
+        (record,) = res.records
+        assert not record.success and not res.succeeded
+        assert record.reason == "uncertified"
+        assert record.fidelity == 1.0 - 2e-3
+
+    def test_warm_start_converging_but_failing_double_is_uncertified(self, monkeypatch, x2):
+        sys, params, target = x2
+        size = params.alpha.size
+        _FakeSearch(monkeypatch, [_converged(0.01, size, 5, 2), _converged(0.02, size, 1, 1)],
+                    {(0.01, 20): 2e-3, (0.02, 20): 5e-4, (0.02, 40): 3e-3})
+        result = standard_optimizer()(sys, params, target)
+        assert result.reason == "uncertified"
+        assert result.fidelity == 1.0 - 3e-3
+
+    def test_threshold_is_a_failure_in_ipr_run_and_certificate(self, monkeypatch, x2):
+        sys, params, target = x2
+        threshold = 2.0**-10  # 1 - (1 - threshold) == threshold exactly
+        cfg = IPRConfig(T_start=20.0, step=4.0, max_attempts=3, error_threshold=threshold)
+        res = ipr_run(sys, target, cfg, _fidelity_mock(lambda t: 1.0 - threshold))
+        assert not res.succeeded and not any(r.success for r in res.records)
+
+        _FakeSearch(monkeypatch, [_converged(0.01, params.alpha.size, 5, 2)],
+                    {(0.01, 1): threshold})
+        result = standard_optimizer(ObjectiveConfig(error_threshold=threshold),
+                                    steps_per_ns=1)(sys, params, target)
+        assert result.reason == "uncertified"
+        (record,) = ipr_run(sys, target, dataclasses.replace(cfg, max_attempts=1),
+                            lambda *_: result).records
+        assert not record.success
+
+    def test_pickled_optimizer_gives_the_same_search(self):
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        target = gate("X_d", 2)
+        cfg = IPRConfig(T_start=24.0, step=4.0, seed=5, max_attempts=2)
+        opt = standard_optimizer(ObjectiveConfig(), max_iter=40)
+        copy = pickle.loads(pickle.dumps(opt))
+        assert copy == opt
+        r1 = ipr_run(sys, target, cfg, opt)
+        r2 = ipr_run(sys, target, cfg, copy)
+        assert [dataclasses.astuple(a) for a in r1.records] == [
+            dataclasses.astuple(b) for b in r2.records
+        ]
+        assert r1.T_best == r2.T_best
+        if r1.succeeded:
+            assert np.array_equal(r1.alpha_best, r2.alpha_best)
+
+
 def test_criterion_7_pilot_walk_and_evaluation_budget():
     # The pilot search of acceptance criterion 7 with the real optimizer.  Its
     # walk pins the search path; the forward budget fails when line searches
-    # spend their evaluations on roundoff-sized steps.
+    # spend their evaluations on roundoff-sized steps.  ``n_forward`` counts
+    # the optimizer's forward passes only; each attempt's certificate adds one
+    # or two propagations on top.
     sys = transmon_system(num_qudits=1, d=2, guard=2)
+    target = gate("H_d", 2)
     cfg = IPRConfig(T_start=50.0, guess_scale=0.01, seed=1234)
     optimizer = standard_optimizer(ObjectiveConfig(), max_iter=500)
-    res = ipr_run(sys, gate("H_d", 2), cfg, optimizer)
+    pulses = []
+
+    def recording(sys, params, target):
+        result = optimizer(sys, params, target)
+        pulses.append(params.with_alpha(result.alpha_final))
+        return result
+
+    res = ipr_run(sys, target, cfg, recording)
     walk = [(r.T, r.success) for r in res.records]
     assert walk == [(T, True) for T in (50.0, 46.0, 42.0, 38.0, 34.0, 30.0, 26.0)] + [
         (T, False) for T in (22.0, 24.0, 25.0)
@@ -247,3 +406,9 @@ def test_criterion_7_pilot_walk_and_evaluation_budget():
     assert all(r.reason for r in res.records)
     assert all(r.n_gradient >= 1 for r in res.records)
     assert sum(r.n_forward for r in res.records) <= 120
+    # Every success is certified at the claim resolution and at twice it.
+    for record, pulse in zip(res.records, pulses):
+        if record.success:
+            for steps_per_ns in (20, 40):
+                cache = forward(sys, pulse, target, ObjectiveConfig(), steps_per_ns)
+                assert cache.infidelity < 1e-3
