@@ -390,7 +390,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive(text: str) -> float:
-    """argparse type for durations and rates: a finite number > 0."""
+    """argparse type for durations, rates and mock thresholds: a finite number > 0."""
     value = float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ipr.add_argument("--t-start", type=_positive, required=True, help="first duration, ns")
     p_ipr.add_argument("--step", type=_positive, help="initial duration step, ns")
     p_ipr.add_argument("--out", required=True, help="output result JSON")
-    p_ipr.add_argument("--mock-threshold", type=float,
+    p_ipr.add_argument("--mock-threshold", type=_positive,
                        help="drive the search with a success-above-threshold mock optimizer")
     p_ipr.set_defaults(func=cmd_ipr)
 
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--t-start", type=_positive, default=50.0,
                          help="start duration for the lowest dimensions")
     p_sweep.add_argument("--out", required=True, help="output CSV")
-    p_sweep.add_argument("--mock-threshold", type=float,
+    p_sweep.add_argument("--mock-threshold", type=_positive,
                          help="per-unit mock threshold (testing)")
     p_sweep.set_defaults(func=cmd_sweep)
 

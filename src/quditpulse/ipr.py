@@ -28,13 +28,17 @@ fidelity is ``1 - max`` of the certificate's values.  A coarse run that
 converged but misses the threshold at the claim resolution continues there
 from its own ``alpha``; the attempt's evaluation counts cover both runs.  A
 converged run that fails the certificate is reported as ``uncertified``.
+
+``multi_run`` runs its searches on a pool of forked worker processes that
+lives only inside the call; ``QUDITPULSE_THREADS`` sets the worker count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -47,6 +51,8 @@ from .optimize import OptResult, minimize
 from .pulse import PulseParams, default_params, random_guess, refit
 
 THREADS_ENV_VAR = "QUDITPULSE_THREADS"
+# A worker process checks this often whether its parent is gone, and exits if so.
+PARENT_POLL_S = 0.5
 
 # multi_run draws each start duration uniformly from [LOW, HIGH] * t_ref.
 START_SAMPLE_LOW, START_SAMPLE_HIGH = 0.8, 1.2
@@ -346,10 +352,59 @@ class MultiRunResult:
 
 
 def _worker_count(n_runs: int) -> int:
+    """Worker processes for n_runs searches: QUDITPULSE_THREADS, else the
+    usable CPUs, and never more than n_runs."""
     env = os.environ.get(THREADS_ENV_VAR)
     if env and not (env.isdecimal() and int(env) >= 1):
         raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
-    return int(env) if env else max(1, min(n_runs, os.cpu_count() or 1))
+    if env:
+        return min(int(env), n_runs)
+    if hasattr(os, "sched_getaffinity"):
+        return min(len(os.sched_getaffinity(0)), n_runs)
+    return min(os.cpu_count() or 1, n_runs)
+
+
+# A worker process's search inputs, set once by _start_worker.
+_worker_job: tuple[QuditSystem, GateSpec, Optimizer] | None = None
+
+
+def _start_worker(parent: int, sys: QuditSystem, target: GateSpec,
+                  optimizer: Optimizer) -> None:
+    """Pool initializer: keep the search inputs and exit once the parent dies.
+
+    Under ``fork`` the arguments reach the worker unpickled, so any
+    optimizer, closures included, works.
+    """
+    global _worker_job
+    _worker_job = (sys, target, optimizer)
+
+    def watch_parent() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch_parent, daemon=True).start()
+
+
+def _worker_search(cfg: IPRConfig) -> IPRResult:
+    sys, target, optimizer = _worker_job
+    return ipr_run(sys, target, cfg, optimizer)
+
+
+def _pool_searches(sys: QuditSystem, target: GateSpec, optimizer: Optimizer,
+                   configs: list[IPRConfig], workers: int) -> list[IPRResult]:
+    """ipr_run for each config on a fork pool that is joined before returning."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_start_worker,
+                             initargs=(os.getpid(), sys, target, optimizer)) as pool:
+        try:
+            return list(pool.map(_worker_search, configs))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def multi_run(
@@ -362,9 +417,13 @@ def multi_run(
 ) -> MultiRunResult:
     """Repeat ipr_run with start times sampled around a reference duration.
 
-    ``t_ref`` defaults to the outcome of a pilot run at base_cfg.T_start.
-    Runs execute concurrently; the summary is computed on results sorted by
-    (duration, seed) and is therefore independent of scheduling.
+    ``t_ref`` defaults to the outcome of a pilot run at base_cfg.T_start;
+    the pilot runs in this process.  The searches run on ``_worker_count``
+    forked processes, created and joined inside this call, or serially here
+    with one worker or where ``fork`` is unavailable.  If a search raises,
+    the pending ones are cancelled and the exception propagates.  The summary
+    is computed on results sorted by (duration, seed), so it does not depend
+    on the worker count or on scheduling.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -392,10 +451,10 @@ def multi_run(
             )
         )
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(lambda c: ipr_run(sys, target, c, optimizer), configs)
-        )
+    if workers > 1 and hasattr(os, "fork"):
+        results = _pool_searches(sys, target, optimizer, configs, workers)
+    else:
+        results = [ipr_run(sys, target, c, optimizer) for c in configs]
 
     order = sorted(
         range(n_runs),

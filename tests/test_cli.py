@@ -370,6 +370,17 @@ class TestBadInput:
         assert main(argv + ["--out", str(out)]) == 1 and _error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["ipr", "--gate", "X_d", "--t-start", "30"],
+        ["sweep", "--gate", "X_d", "--d-range", "2", "--runs", "2"],
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+    def test_mock_threshold_not_finite_and_positive(self, tmp_path, capsys, command, value):
+        out = tmp_path / "out"
+        code = main(command + ["--mock-threshold", value, "--out", str(out)])
+        assert code == 1 and _error_line(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["0", "-1", "x"])
     def test_bad_thread_count(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("QUDITPULSE_THREADS", value)

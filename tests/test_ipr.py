@@ -1,5 +1,13 @@
 import dataclasses
+import json
+import multiprocessing
+import os
 import pickle
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +24,7 @@ from quditpulse.ipr import (
 )
 from quditpulse.model import gate, transmon_system
 from quditpulse.objective import ObjectiveConfig, forward
-from quditpulse.optimize import OptResult
+from quditpulse.optimize import OptimizerAbort, OptResult
 from quditpulse.pulse import default_params
 
 
@@ -233,6 +241,186 @@ class TestMultiRun:
         sys, target = h4_setup
         with pytest.raises(ValueError):
             multi_run(sys, target, IPRConfig(T_start=10.0), 0)
+
+
+SRC = Path(ipr_mod.__file__).resolve().parents[1]
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork start method")
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="no /proc")
+
+
+def _plain(mr) -> str:
+    """A MultiRunResult as text, every float and array value included."""
+    return json.dumps(dataclasses.asdict(mr), default=lambda a: a.tolist())
+
+
+def _proc_stat(pid) -> tuple[str, int] | None:
+    """(state, parent pid) of a process, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+    except (FileNotFoundError, ProcessLookupError):
+        return None
+    return state, int(ppid)
+
+
+def _running(pid) -> bool:
+    """A zombie waiting for its reaper has exited, so it counts as gone."""
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _running_children() -> list[int]:
+    stats = {int(p): _proc_stat(p) for p in os.listdir("/proc") if p.isdigit()}
+    return [pid for pid, st in stats.items() if st and st[0] != "Z" and st[1] == os.getpid()]
+
+
+def _pid_mock(t_threshold: float):
+    """threshold_mock_optimizer that reports the process it ran in as its reason."""
+    mock = threshold_mock_optimizer(t_threshold)
+
+    def run(sys, params, target):
+        return dataclasses.replace(mock(sys, params, target), reason=f"pid {os.getpid()}")
+
+    return run
+
+
+# Run by test_workers_exit_when_their_parent_is_killed in a child interpreter:
+# each worker appends its PID to the file in argv[1], then hangs in its search.
+HANGING_MULTI_RUN = """
+import os, sys, time
+from quditpulse.ipr import IPRConfig, multi_run
+from quditpulse.model import gate, transmon_system
+
+def hang(sys_, params, target):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(120)
+
+multi_run(transmon_system(num_qudits=1, d=2, guard=2), gate("X_d", 2),
+          IPRConfig(T_start=30.0), 2, t_ref=30.0, optimizer=hang)
+"""
+
+
+class TestWorkerPool:
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setenv("QUDITPULSE_THREADS", "100000")
+        assert ipr_mod._worker_count(3) == 3
+        monkeypatch.setenv("QUDITPULSE_THREADS", "2")
+        assert ipr_mod._worker_count(10) == 2
+        monkeypatch.delenv("QUDITPULSE_THREADS")
+        assert 1 <= ipr_mod._worker_count(3) <= 3
+        assert ipr_mod._worker_count(1) == 1
+
+    @needs_fork
+    def test_worker_count_does_not_change_mock_result(self, h4_setup, monkeypatch):
+        sys, target = h4_setup
+        base = IPRConfig(T_start=90.0, granularity=1.0, seed=21)
+        runs = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("QUDITPULSE_THREADS", workers)
+            runs.append(_plain(multi_run(sys, target, base, 6,
+                                         optimizer=threshold_mock_optimizer(77.0))))
+        assert runs[0] == runs[1] == runs[2]
+
+    @needs_fork
+    def test_worker_count_does_not_change_real_search(self, monkeypatch):
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        base = IPRConfig(T_start=30.0, guess_scale=0.01, seed=7)
+        optimizer = standard_optimizer(ObjectiveConfig(), max_iter=500)
+        runs = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("QUDITPULSE_THREADS", workers)
+            mr = multi_run(sys, gate("H_d", 2), base, 3, t_ref=27.0, optimizer=optimizer)
+            runs.append(_plain(mr))
+        assert mr.t_min is not None
+        assert runs[0] == runs[1] == runs[2]
+
+    @needs_fork
+    def test_closure_optimizer_runs_in_workers(self, h4_setup, monkeypatch):
+        sys, target = h4_setup
+        base = IPRConfig(T_start=90.0, granularity=1.0, seed=22)
+        optimizer = _pid_mock(77.0)
+        with pytest.raises(Exception):
+            pickle.dumps(optimizer)
+        monkeypatch.setenv("QUDITPULSE_THREADS", "1")
+        serial = multi_run(sys, target, base, 4, optimizer=optimizer)
+        monkeypatch.setenv("QUDITPULSE_THREADS", "2")
+        pooled = multi_run(sys, target, base, 4, optimizer=optimizer)
+
+        def pids(mr):
+            return {r.reason for res in mr.results for r in res.records}
+
+        assert pids(serial) == {f"pid {os.getpid()}"}
+        assert pids(pooled) and f"pid {os.getpid()}" not in pids(pooled)
+        assert [r.T_best for r in serial.results] == [r.T_best for r in pooled.results]
+        assert [c.seed for c in serial.configs] == [c.seed for c in pooled.configs]
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_search_error_propagates_and_joins_workers(self, h4_setup, monkeypatch):
+        sys, target = h4_setup
+        base = IPRConfig(T_start=100.0, granularity=1.0, seed=23)
+        mock = threshold_mock_optimizer(90.0)
+        configs = multi_run(sys, target, base, 4, t_ref=100.0, optimizer=mock).configs
+        t_bad = max(c.T_start for c in configs)  # only the search starting there visits it
+        assert t_bad > 100.0
+
+        def aborting(sys_, params, target_):
+            if params.T == t_bad:
+                raise OptimizerAbort("objective turned non-finite")
+            return mock(sys_, params, target_)
+
+        monkeypatch.setenv("QUDITPULSE_THREADS", "2")
+        with pytest.raises(OptimizerAbort, match="non-finite"):
+            multi_run(sys, target, base, 4, t_ref=100.0, optimizer=aborting)
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    @needs_proc
+    def test_no_child_process_outlives_the_call(self, h4_setup, monkeypatch):
+        sys, target = h4_setup
+        monkeypatch.setenv("QUDITPULSE_THREADS", "2")
+        multi_run(sys, target, IPRConfig(T_start=90.0, seed=24), 4,
+                  optimizer=threshold_mock_optimizer(77.0))
+        assert multiprocessing.active_children() == []
+        assert _running_children() == []
+
+    @needs_fork
+    @needs_proc
+    def test_workers_exit_when_their_parent_is_killed(self, tmp_path):
+        pid_file = tmp_path / "workers.txt"
+        env = {**os.environ, "QUDITPULSE_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                           os.environ.get("PYTHONPATH")]))}
+        parent = subprocess.Popen([sys.executable, "-c", HANGING_MULTI_RUN, str(pid_file)],
+                                  env=env)
+        workers: set[int] = set()
+        try:
+            deadline = time.monotonic() + 30.0
+            while len(workers) < 2 and time.monotonic() < deadline and parent.poll() is None:
+                time.sleep(0.05)
+                if pid_file.exists():
+                    workers = {int(line) for line in pid_file.read_text().split()}
+            assert len(workers) == 2 and parent.pid not in workers
+            parent.kill()
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_import_does_not_load_multiprocessing(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        code = "import sys, quditpulse; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 TAG = 2  # a coefficient no boundary spline pins, for one or two qudits
