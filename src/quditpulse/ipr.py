@@ -80,12 +80,14 @@ class IPRConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.T_start <= 0:
-            raise ValueError("T_start must be positive")
-        if self.granularity <= 0:
-            raise ValueError("granularity must be positive")
-        if self.step is not None and self.step < self.granularity:
-            raise ValueError("step must be at least the granularity")
+        if not (math.isfinite(self.T_start) and self.T_start > 0):
+            raise ValueError("T_start must be a finite number > 0")
+        if not (math.isfinite(self.granularity) and self.granularity > 0):
+            raise ValueError("granularity must be a finite number > 0")
+        if self.step is not None and not (math.isfinite(self.step) and self.step >= self.granularity):
+            raise ValueError("step must be finite and at least the granularity")
+        if not 0.0 < self.error_threshold < 1.0:
+            raise ValueError("error_threshold must lie in (0, 1)")
         if self.max_restarts < 0 or self.max_attempts < 1:
             raise ValueError("invalid restart/attempt budget")
 

@@ -306,8 +306,24 @@ def pulse_doc(sys: QuditSystem, params: PulseParams, fidelity: float,
     }
 
 
+def _all_of(values, kind) -> bool:
+    return all(isinstance(v, kind) and not isinstance(v, bool) for v in values)
+
+
 def pulse_from_doc(doc: dict) -> tuple[QuditSystem, PulseParams, float, dict]:
-    s = doc["system"]
+    """Inverse of :func:`pulse_doc`: KeyError for a missing key, ValueError
+    for a value of the wrong JSON type or a non-finite number."""
+    s = doc["system"] if isinstance(doc, dict) else None
+    if not (isinstance(s, dict) and isinstance(doc["metadata"], dict)):
+        raise ValueError("the document, its system and its metadata must be objects")
+    lists = [s["omega"], s["xi"], doc["alpha"], doc["carriers_rot"]]
+    if not (_all_of(lists, list) and _all_of(lists[-1], list)):
+        raise ValueError("omega, xi, alpha and carriers_rot must be lists, carriers_rot of lists")
+    counts = [s["num_qudits"], s["d"], s["guard"], doc["N_b"]]
+    reals = [s["coupling_J"], s["omega_rot"], doc["T_ns"], doc["alpha_max"], doc["fidelity"]]
+    reals += [x for values in lists[:3] + lists[-1] for x in values]
+    if not (_all_of(counts, int) and _all_of(reals, (int, float)) and all(map(math.isfinite, reals))):
+        raise ValueError("pulse document values must be finite numbers, and counts integers")
     sys = QuditSystem(
         num_qudits=s["num_qudits"],
         d=s["d"],

@@ -370,6 +370,25 @@ class TestBadInput:
         assert main(argv + ["--out", str(out)]) == 1 and _error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "export-lab"])
+    @pytest.mark.parametrize("mangle", ["root_not_object", "omega_number", "T_infinite"])
+    def test_malformed_pulse_document(self, tmp_path, capsys, command, mangle):
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        pulse_path = tmp_path / "pulse.json"
+        save_pulse(pulse_path, sys, default_params(sys, 10.0), 1.0, {})
+        doc = json.loads(pulse_path.read_text())
+        if mangle == "root_not_object":
+            doc = [1, 2]
+        elif mangle == "omega_number":
+            doc["system"]["omega"] = 5.0
+        else:
+            doc["T_ns"] = float("inf")
+        pulse_path.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert main([command, "--pulse", str(pulse_path), "--out", str(out)]) == 1
+        assert "error: malformed pulse JSON" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ["ipr", "--gate", "X_d", "--t-start", "30"],
         ["sweep", "--gate", "X_d", "--d-range", "2", "--runs", "2"],

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from quditpulse.dynamics import (
+    BLOCK,
     PropagationError,
+    _group_size,
     default_steps_per_ns,
     guard_populations,
     propagate,
@@ -125,29 +127,36 @@ class TestStrangStep:
         p = np.stack([p, np.roll(p, 3)])[:num_qudits]
         q = np.stack([q, np.roll(q, 5)])[:num_qudits]
         dt = 0.05
-        # With zero drift the Strang step E K E is K itself.
+        # With zero drift the merged step K E^2 is K itself.
         no_drift = replace(split, drift_vals=np.zeros_like(split.drift_vals))
-        evals, evecs, kmat = step_unitaries(no_drift, p, q, dt, slice(None))
+        qudits, steps = step_unitaries(no_drift, p, q, dt, slice(None))
         ops = control_operators(sys)
+        a_one, b_one = control_operators(transmon_system(num_qudits=1, d=d, guard=2))[0]
         for m in range(p.shape[1]):
             h_c = sum(p[k, m] * a_op + q[k, m] * b_op for k, (a_op, b_op) in enumerate(ops))
-            assert np.max(np.abs(kmat[m] - _eigh_exponential(h_c, dt))) <= 1e-13
-            rebuilt = (evecs[m] * evals[m]) @ evecs[m].conj().T
-            assert np.max(np.abs(rebuilt - h_c)) <= 1e-13 * max(1.0, np.max(np.abs(h_c)))
+            assert np.max(np.abs(steps[m] - _eigh_exponential(h_c, dt))) <= 1e-13
+            for k, (evals, evecs, kmat) in enumerate(qudits):
+                h_k = p[k, m] * a_one + q[k, m] * b_one
+                assert np.max(np.abs(kmat[m] - _eigh_exponential(h_k, dt))) <= 1e-13
+                rebuilt = (evecs[m] * evals[m]) @ evecs[m].conj().T
+                assert np.max(np.abs(rebuilt - h_k)) <= 1e-13 * max(1.0, np.max(np.abs(h_k)))
 
     @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
     def test_step_is_half_drift_control_half_drift(self, num_qudits, d):
+        # The sweeps carry chi = E^-1 psi through M = K E^2, so E M E^-1 must
+        # be the Strang step E K E.
         sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
         split, _, _ = system_operators(sys)
         rng = np.random.default_rng(d)
         p, q = rng.uniform(-0.3, 0.3, (2, num_qudits, 4))
         dt = 1.0 / default_steps_per_ns(sys)
-        _, _, steps = step_unitaries(split, p, q, dt, slice(None))
+        _, steps = step_unitaries(split, p, q, dt, slice(None))
         half = _eigh_exponential(drift_hamiltonian(sys), 0.5 * dt)
         ops = control_operators(sys)
         for m in range(p.shape[1]):
             h_c = sum(p[k, m] * a_op + q[k, m] * b_op for k, (a_op, b_op) in enumerate(ops))
-            assert np.max(np.abs(steps[m] - half @ _eigh_exponential(h_c, dt) @ half)) <= 1e-13
+            strang = half @ _eigh_exponential(h_c, dt) @ half
+            assert np.max(np.abs(half @ steps[m] @ half.conj().T - strang)) <= 1e-13
 
     @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
     def test_integrator_error_at_default_resolution(self, num_qudits, d):
@@ -166,6 +175,39 @@ class TestStrangStep:
                 for n in (None, 640)
             ]
             assert abs(infid[0] - infid[1]) <= 1e-5
+
+
+SWEEP_SYSTEMS = [(1, 2), (1, 8), (2, 2), (2, 3)]
+
+
+class TestSweep:
+    @pytest.mark.parametrize("store_kind", ["dense", "sparse"])
+    @pytest.mark.parametrize("num_qudits, d", SWEEP_SYSTEMS)
+    def test_matches_reference_loop(self, num_qudits, d, store_kind):
+        # Step counts around the forward product's group size and the block
+        # size, and one past MAX_STORED_STEPS; the reference applies
+        # E K_m E step by step with E and K_m from plain eigendecompositions.
+        sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
+        split, embed, _ = system_operators(sys)
+        ops = control_operators(sys)
+        dt = 1.0 / default_steps_per_ns(sys)
+        half = _eigh_exponential(drift_hamiltonian(sys), 0.5 * dt)
+        group = _group_size(sys.dim_total)
+        counts = {1, group - 1, group, group + 1, BLOCK - 1, BLOCK, BLOCK + 1, 1001} - {0}
+        rng = np.random.default_rng(10 * num_qudits + d)
+        p, q = rng.uniform(-0.3, 0.3, (2, num_qudits, max(counts)))
+        reference = [embed]
+        for m in range(max(counts)):
+            h_c = sum(p[k, m] * a_op + q[k, m] * b_op for k, (a_op, b_op) in enumerate(ops))
+            reference.append(half @ (_eigh_exponential(h_c, dt) @ (half @ reference[-1])))
+        for n_steps in sorted(counts):
+            if store_kind == "dense":
+                store = np.arange(n_steps + 1)
+            else:
+                store = np.sort(rng.choice(n_steps + 1, min(5, n_steps + 1), replace=False))
+            states = propagate_sequence(split, p[:, :n_steps], q[:, :n_steps], dt, embed, store)
+            expected = np.stack([reference[i] for i in store])
+            assert np.max(np.abs(states - expected)) <= 1e-11, n_steps
 
 
 class TestTrajectory:

@@ -190,6 +190,22 @@ class TestStateMachine:
         with pytest.raises(ValueError):
             IPRConfig(T_start=10.0, step=0.5, granularity=1.0)
 
+    @pytest.mark.parametrize("fields", [
+        {"error_threshold": 5.0},
+        {"error_threshold": 0.0},
+        {"error_threshold": 1.0},
+        {"error_threshold": float("nan")},
+        {"T_start": float("inf")},
+        {"T_start": float("nan")},
+        {"step": float("inf")},
+        {"step": float("nan")},
+        {"granularity": float("inf")},
+        {"granularity": float("nan")},
+    ])
+    def test_config_rejects_out_of_range_and_non_finite(self, fields):
+        with pytest.raises(ValueError):
+            IPRConfig(**{"T_start": 10.0, **fields})
+
     def test_default_step_rule(self):
         assert nearest_power_of_two_step(70.0) == 8.0
         assert nearest_power_of_two_step(50.0) == 4.0

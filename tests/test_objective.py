@@ -3,6 +3,7 @@ import pytest
 
 from quditpulse.dynamics import (
     BLOCK,
+    MAX_STORED_STEPS,
     PropagationError,
     Trajectory,
     guard_population_columns,
@@ -229,6 +230,33 @@ class TestGradient:
         adjoint = gradient(sys, params, target, cfg) @ direction
         assert abs(adjoint - central) <= 1e-5 * abs(central)
 
+    @pytest.mark.parametrize("num_qudits, d, T, gate_name", [
+        (1, 3, 40.0, "H_d"),  # 800 steps: the guard enters at every step
+        (1, 3, 60.0, "H_d"),  # 1200 steps: the guard sits on the decimated grid
+        (2, 2, 10.0, "CNOT"),
+        (2, 3, 6.0, "SWAP_d"),  # per-qudit adjoint kernels on 5 levels each
+    ])
+    def test_directional_derivative_matches_central_difference(self, num_qudits, d, T,
+                                                                gate_name):
+        sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
+        params = _random_pulse(sys, T, 0.3, 30 + d)
+        target = gate(gate_name, d)
+        cfg = ObjectiveConfig(w_guard=0.3)
+        cache = forward(sys, params, target, cfg)
+        n_steps = cache.p.shape[1]
+        every_step = np.count_nonzero(cache.guard_coef) == n_steps + 1
+        assert every_step == (n_steps <= MAX_STORED_STEPS)
+        rng = np.random.default_rng(31)
+        direction = rng.standard_normal(params.alpha.size)
+        direction[params.boundary_mask()] = 0.0
+        direction /= np.linalg.norm(direction)
+        step = 1e-4 * params.alpha_max
+        plus = objective(sys, params.with_alpha(params.alpha + step * direction), target, cfg)
+        minus = objective(sys, params.with_alpha(params.alpha - step * direction), target, cfg)
+        central = (plus - minus) / (2.0 * step)
+        adjoint = backward(cache) @ direction
+        assert abs(adjoint - central) <= 1e-6 * abs(central)
+
     def test_batched_reverse_pass_matches_per_step_loop(self):
         # Several reverse blocks plus a ragged tail, and more steps than
         # MAX_STORED_STEPS, so guard terms sit on a decimated grid and the
@@ -243,6 +271,17 @@ class TestGradient:
         batched = backward(cache)
         reference = _per_step_reference_gradient(cache)
         assert np.max(np.abs(batched - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+    def test_two_qudit_reverse_pass_matches_per_step_loop(self):
+        # The reverse sweep applies one qudit's kernel at a time; the
+        # reference uses the kernel of the full two-qudit eigenbasis.
+        sys = transmon_system(num_qudits=2, d=3, guard=2)
+        params = _random_pulse(sys, 4.0, 0.8, 28)
+        cfg = ObjectiveConfig(w_guard=0.3, w_l2=1e-4)
+        cache = forward(sys, params, gate("SWAP_d", 3), cfg)
+        assert cache.p.shape[1] > BLOCK
+        reference = _per_step_reference_gradient(cache)
+        assert np.max(np.abs(backward(cache) - reference)) <= 1e-12 * np.max(np.abs(reference))
 
     def test_pinned_coordinates_zero(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
