@@ -17,17 +17,25 @@ propagated together as one matrix, which also makes results independent of
 any column-level parallelism.
 
 Both sweeps carry chi_m = E^-1 psi_m through the merged steps
-M_m = K_m E^2 and recover psi = E chi a block at a time.  The forward sweep
+M_m = K_m E^2 and recover psi = E chi a block at a time.  Both build their
+steps ``BLOCK`` at a time with ``step_unitaries``, in blocks aligned to the
+end of the pulse, so only the first block can be short.  The forward sweep
 ``propagate_sequence`` multiplies, for matrices up to 16 x 16, prefix
-products over groups of steps, built for all groups of a block at once.
-Its exact discrete adjoint ``reverse_sequence`` carries
-mu_m = lambda_m^H E back through the same M_m with each block's guard terms
-built at once, and differentiates each K_m in its closed-form eigenbasis
-through the divided-difference kernel of exp; each control operator acts
-on one qudit, so after the other qudit's K_m is contracted in only its own
-qudit's L x L kernel enters.  Both build their steps ``BLOCK`` at a time
-with ``step_unitaries``.  The only eigendecompositions are those cached by
-``system_operators``, so their number does not grow with the step count.
+products over groups of steps, built for all groups of a block at once, and
+hands its build of the last block (per-qudit eigenpairs and exponentials,
+and the M_m copied before the prefix products overwrite them) to the
+reverse sweep, which starts there and so builds one block fewer.  Its exact
+discrete adjoint ``reverse_sequence`` carries mu_m = lambda_m^H E back
+through the same M_m: mu_m = mu_{m+1} M_m + g_m with g_m the guard term.
+For matrices up to 10 x 10 it runs over groups of steps too, with each
+group's suffix products and guard sums built for all groups of a block at
+once, and it only reads the forward's block.  It differentiates each K_m in
+its closed-form eigenbasis through the divided-difference kernel of exp;
+each control operator acts on one qudit, so after the other qudit's K_m is
+contracted in only its own qudit's L x L kernel enters.  The only
+eigendecompositions are those cached by ``system_operators``, so their
+number does not grow with the step count.  The spline basis and carrier
+phases of the last step grid used stay cached.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .model import QuditSystem, drift_hamiltonian, embed_isometry, lowering_operator
-from .pulse import PulseParams, eval_controls
+from .pulse import PulseParams, SampleGrid, eval_controls, sample_grid
 
 # The one integrator, named in every pulse document's metadata.
 INTEGRATOR = "strang"
@@ -120,18 +128,26 @@ def step_grid(T: float, steps_per_ns: int) -> tuple[int, float]:
     return n_steps, T / n_steps
 
 
+# One step grid's spline basis and carrier phases stay cached: an optimizer
+# run evaluates many pulses on one grid, and the grid of the largest
+# benchmark system (2q d=3, 150 ns) holds 1.6 MB.
+@lru_cache(maxsize=1)
+def _midpoint_grid(T: float, n_steps: int, N_b: int, carriers: tuple) -> SampleGrid:
+    return sample_grid(N_b, T, carriers, (np.arange(n_steps) + 0.5) * (T / n_steps))
+
+
 def midpoint_controls(
     sys: QuditSystem, params: PulseParams, steps_per_ns: int | None
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """(dt, step midpoints, p, q) for a pulse at the given resolution."""
+) -> tuple[float, SampleGrid, np.ndarray, np.ndarray]:
+    """(dt, grid of the step midpoints, p, q) for a pulse at the given resolution."""
     if steps_per_ns is None:
         steps_per_ns = default_steps_per_ns(sys)
     if steps_per_ns < 1:
         raise ValueError("steps_per_ns must be >= 1")
     n_steps, dt = step_grid(params.T, steps_per_ns)
-    midpoints = (np.arange(n_steps) + 0.5) * dt
-    p, q = eval_controls(params, midpoints)
-    return dt, midpoints, p, q
+    grid = _midpoint_grid(params.T, n_steps, params.N_b, params.carriers)
+    p, q = eval_controls(params, grid)
+    return dt, grid, p, q
 
 
 def stored_indices(n_steps: int) -> np.ndarray:
@@ -196,11 +212,20 @@ def step_unitaries(
     return qudits, kmat @ _drift_exponential(split, dt)
 
 
-def _group_size(n: int) -> int:
-    """Steps per group of the forward product for n x n steps: a group costs
-    one extra n x n product per step, which on a 2-core Xeon was cheaper than
-    the numpy call it saves up to n = 16 and 10% slower at n = 25 (2q d=3)."""
-    return math.isqrt(BLOCK) if n <= 16 else 1
+def _group_size(n: int, reverse: bool = False) -> int:
+    """Steps per group of a sweep's product for n x n steps.  A group costs
+    one extra n x n product per step, and in the reverse sweep also a guard
+    sum.  On a 2-core Xeon that was cheaper than the numpy calls it saves up
+    to n = 16 in the forward sweep (10% slower at n = 25, 2q d=3) and up to
+    n = 10 in the reverse sweep (5% slower at n = 16, 2q d=2)."""
+    return math.isqrt(BLOCK) if n <= (10 if reverse else 16) else 1
+
+
+def _block_edges(n_steps: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block, aligned to the end of the pulse: only the
+    first block can be short, so the last block, which the forward sweep
+    hands to the reverse sweep, is a full one."""
+    return [(max(0, stop - BLOCK), stop) for stop in range(n_steps, 0, -BLOCK)][::-1]
 
 
 def propagate_sequence(
@@ -210,13 +235,14 @@ def propagate_sequence(
     dt: float,
     initial: np.ndarray,
     store: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, tuple | None]:
     """Apply the Strang steps defined by control samples p, q.
 
     ``p`` and ``q`` have shape (K, n_steps) and hold the control values at
-    the step midpoints.  Returns the states at the strictly increasing step
-    indices in ``store`` (default: final state only) as one array of shape
-    (len(store),) + initial.shape.
+    the step midpoints.  Returns (states, last): the states at the strictly
+    increasing step indices in ``store`` (default: final state only) as one
+    array of shape (len(store),) + initial.shape, and the read-only
+    ``step_unitaries`` build of the last block, for ``reverse_sequence``.
     """
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise PropagationError("controls produced non-finite values")
@@ -229,13 +255,18 @@ def propagate_sequence(
     chi = half.conj().T @ np.asarray(initial, dtype=complex)
     chis = np.empty((BLOCK,) + chi.shape, dtype=complex)
     group = _group_size(len(half))
+    last = None
     slot = 0
     if wanted[0] == 0:
         states[0] = initial
         slot = 1
-    for start in range(0, n_steps, BLOCK):
-        stop = min(start + BLOCK, n_steps)
-        _, steps = step_unitaries(split, p, q, dt, slice(start, stop))
+    for start, stop in _block_edges(n_steps):
+        qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
+        if stop == n_steps:
+            # Kept before the prefix products below overwrite the steps.
+            last = (qudits, steps.copy() if group > 1 else steps)
+            for arr in (last[1], *(a for qudit in qudits for a in qudit)):
+                arr.setflags(write=False)
         # Prefix products within each group of steps, all groups at once.
         for i in range(1, group):
             head = steps[i::group]
@@ -246,7 +277,7 @@ def propagate_sequence(
         top = np.searchsorted(wanted, stop, side="right")
         np.matmul(half, chis[wanted[slot:top] - start - 1], out=states[slot:top])
         slot = top
-    return states
+    return states, last
 
 
 def _exp_derivative_kernel(evals: np.ndarray, dt: float) -> np.ndarray:
@@ -269,34 +300,69 @@ def _traced_pair(kets: np.ndarray, bras: np.ndarray, kmat: np.ndarray) -> np.nda
 
 def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
                      states: np.ndarray, lam: np.ndarray, coef: np.ndarray,
-                     mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     mask: np.ndarray, last: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of ``propagate_sequence``: (dJ/dp, dJ/dq), each shaped like p.
 
     ``states[m]`` is the state after m steps, ``lam`` = dJ/d conj(states[-1]),
     and J adds the running cost ``coef[m] * sum(|states[m][mask]|^2)``.
+    ``last`` is the forward sweep's build of the last block; it is only read.
     """
     n_steps = p.shape[1]
     n_q, levels = split.num_qudits, len(split.ladder_vals)
     lowering = split.ladder_lowering
     half = _drift_exponential(split, 0.5 * dt)
+    group = _group_size(len(half), reverse=True)
     # Rows hold mu_m = lambda_m^H E, so lambda_m = S_m^H lambda_{m+1} plus the
     # guard term of step m is mu_m = mu_{m+1} M_m + coef[m] psi_m^H mask E.
     mus = np.empty((BLOCK + 1,) + lam.shape[::-1], dtype=complex)
+    prods = np.empty((BLOCK,) + half.shape, dtype=complex) if group > 1 else None
     mu = (lam.conj().T + coef[n_steps] * (states[n_steps].conj().T * mask)) @ half
     lower = np.empty((n_q, n_steps), dtype=complex)
     upper = np.empty((n_q, n_steps), dtype=complex)
-    for start in reversed(range(0, n_steps, BLOCK)):
-        stop = min(start + BLOCK, n_steps)
+
+    # Each block runs in two calls whose arrays die when they return, so
+    # the steps are freed before the kernels run and only the eigenpairs
+    # outlive a block.
+    def recurrence(start: int, stop: int, mu: np.ndarray) -> list:
+        """mus[i] = mu_{start+i} for i <= size from mu = mu_stop; returns the
+        block's per-qudit control eigenpairs and exponentials."""
         size = stop - start
-        qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
+        if stop == n_steps:
+            qudits, steps = last
+        else:
+            qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
         injected = (coef[start:stop, None, None]
                     * (states[start:stop].conj().swapaxes(1, 2) * mask)) @ half
         mus[size] = mu
-        for i in range(size - 1, -1, -1):
-            np.matmul(mus[i + 1], steps[i], out=mus[i])
-            if coef[start + i]:
-                mus[i] += injected[i]
-        mu = mus[0]
+        if group == 1:
+            for i in range(size - 1, -1, -1):
+                np.matmul(mus[i + 1], steps[i], out=mus[i])
+                if coef[start + i]:
+                    mus[i] += injected[i]
+            return qudits
+        # Counted from the top of the block down, the steps r0..r of a group
+        # give mu_r = mu_{r0-1} P_r + G_r with the suffix products
+        # P_r = P_{r-1} M_r and guard sums G_r = G_{r-1} M_r + injected_r,
+        # built for all groups at once; P goes to a fresh array, as ``last``
+        # is only read.
+        down, suffix, sums = steps[::-1], prods[:size][::-1], injected[::-1]
+        suffix[::group] = down[::group]
+        for i in range(1, group):
+            head = suffix[i::group]
+            np.matmul(suffix[i - 1::group][: len(head)], down[i::group], out=head)
+            sums[i::group] += sums[i - 1::group][: len(head)] @ down[i::group]
+        guarded = (coef[start:stop] != 0)[::-1].tolist()
+        rows = mus[:size][::-1]
+        mu = mus[size]  # the rows overwrite mus[0]
+        for r in range(0, size, group):
+            np.matmul(mu, suffix[r:r + group], out=rows[r:r + group])
+            if any(guarded[r:r + group]):
+                rows[r:r + group] += sums[r:r + group]
+            mu = rows[min(r + group, size) - 1]
+        return qudits
+
+    def sensitivities(start: int, stop: int, qudits: list) -> None:
+        size = stop - start
         # S_m = E K_m E, so K_m's derivative sees E psi_m and mu_{m+1}:
         # dJ/dc = 2 Re sum(G o (W^H T W)^T o W^H C W) for a control operator
         # C on one qudit with eigenbasis W, G the divided-difference kernel
@@ -321,12 +387,23 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
             phase = np.exp(-1j * np.arctan2(q[k, start:stop], p[k, start:stop]))
             lower[k, start:stop] = phase * np.einsum("bij,ij->b", weighted, lowering)
             upper[k, start:stop] = phase.conj() * np.einsum("bij,ji->b", weighted, lowering.conj())
+
+    for start, stop in reversed(_block_edges(n_steps)):
+        sensitivities(start, stop, recurrence(start, stop, mu))
+        mu = mus[0]
     return 2.0 * np.real(lower + upper), -2.0 * np.imag(lower - upper)
 
 
-def guard_population_columns(states: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Per-column population on guard-containing basis states."""
-    return np.sum(np.abs(states[..., mask, :]) ** 2, axis=-2)
+def guard_population_columns(states: np.ndarray, mask: np.ndarray,
+                             steps: np.ndarray | None = None) -> np.ndarray:
+    """Per-column population on guard-containing basis states of a stack of
+    states (S, n, h), at ``steps`` (default: all); only the guard rows of
+    those steps are copied."""
+    if steps is None:
+        steps = np.arange(len(states))
+    pop = np.abs(states[steps[:, None], mask])
+    pop *= pop
+    return pop.sum(axis=-2)
 
 
 def propagate(
@@ -349,7 +426,7 @@ def propagate(
     else:
         idx = np.asarray([0, n_steps])
     initial = embed if initial_states is None else initial_states
-    states = propagate_sequence(split, p, q, dt, initial, idx)
+    states, _ = propagate_sequence(split, p, q, dt, initial, idx)
     return Trajectory(
         times=idx * dt,
         states=states,

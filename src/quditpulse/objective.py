@@ -10,12 +10,13 @@ essential subspace and the second is the time-averaged population of
 guard-containing basis states on the decimated trajectory grid.
 
 ``forward`` propagates once through the Strang steps of
-``dynamics.propagate_sequence``, keeping every step state, and returns a
-``ForwardCache`` with the value parts.  ``backward(cache)`` turns it into
-the gradient without a second forward sweep: it hands the infidelity's
-final-state cotangent and the guard weights to
-``dynamics.reverse_sequence``, the exact adjoint of those steps, the
-control sensitivities to ``pulse.controls_adjoint``, and adds the L2 term.
+``dynamics.propagate_sequence``, keeping every step state and the last
+block of steps, and returns a ``ForwardCache`` with the value parts.
+``backward(cache)`` turns it into the gradient without a second forward
+sweep: it hands the infidelity's final-state cotangent, the guard weights
+and that block to ``dynamics.reverse_sequence``, the exact adjoint of those
+steps, the control sensitivities to ``pulse.controls_adjoint``, and adds
+the L2 term.  It only reads the cache, so it can run on one cache twice.
 The gradient is exact for the discrete propagator, so it matches finite
 differences of the same objective, not of the continuous-time one.
 The other entry points wrap these; ``gradient(..., method="fd")`` is a
@@ -30,7 +31,6 @@ import numpy as np
 
 from .dynamics import (
     PropagationError,
-    Trajectory,
     guard_population_columns,
     midpoint_controls,
     propagate_sequence,
@@ -39,7 +39,7 @@ from .dynamics import (
     system_operators,
 )
 from .model import GateSpec, QuditSystem, embed_target
-from .pulse import PulseParams, controls_adjoint
+from .pulse import PulseParams, SampleGrid, controls_adjoint
 
 FD_STEP_FRACTION = 1e-6
 
@@ -97,25 +97,21 @@ def _guard_coefficients(times: np.ndarray, n_cols: int) -> np.ndarray:
     return w / ((times[-1] - times[0]) * n_cols)
 
 
-def guard_penalty(traj: Trajectory) -> float:
-    """Time average of the column-averaged guard population, trapezoid rule."""
-    coef = _guard_coefficients(traj.times, traj.states.shape[-1])
-    return float(coef @ traj.guard_pop.sum(axis=-1))
-
-
 @dataclass(frozen=True, eq=False)
 class ForwardCache:
-    """One forward pass: inputs, ``states[m]`` after m steps, the guard
-    penalty's weight on each state, and the value parts."""
+    """One forward pass: inputs, ``states[m]`` after m steps, the last
+    block's step build, the guard penalty's weight on each state, and the
+    value parts."""
 
     sys: QuditSystem
     params: PulseParams
     cfg: ObjectiveConfig
     dt: float
-    midpoints: np.ndarray
+    grid: SampleGrid
     p: np.ndarray
     q: np.ndarray
     states: np.ndarray
+    last: tuple
     v_emb: np.ndarray
     overlap: complex
     guard_coef: np.ndarray
@@ -133,18 +129,18 @@ def forward(
 ) -> ForwardCache:
     """Propagate once, keeping every step state, and evaluate the objective."""
     split, embed, mask = system_operators(sys)
-    dt, midpoints, p, q = midpoint_controls(sys, params, steps_per_ns)
+    dt, grid, p, q = midpoint_controls(sys, params, steps_per_ns)
     n_steps = p.shape[1]
-    states = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
+    states, last = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
     v_emb = embed_target(target, sys)
     infid = trace_infidelity(states[-1], v_emb, sys.dim_essential)
     idx = stored_indices(n_steps)
     coef = np.zeros(n_steps + 1)
     coef[idx] = _guard_coefficients(idx * dt, sys.dim_essential)
-    guard = float(coef[idx] @ guard_population_columns(states[idx], mask).sum(axis=-1))
+    guard = float(coef[idx] @ guard_population_columns(states, mask, idx).sum(axis=-1))
     total = infid + cfg.w_guard * guard + cfg.w_l2 * float(params.alpha @ params.alpha)
     overlap = np.vdot(v_emb, states[-1])
-    return ForwardCache(sys, params, cfg, dt, midpoints, p, q, states, v_emb, overlap,
+    return ForwardCache(sys, params, cfg, dt, grid, p, q, states, last, v_emb, overlap,
                         coef, total, infid, guard)
 
 
@@ -155,8 +151,8 @@ def backward(cache: ForwardCache) -> np.ndarray:
     # dJ/d conj(psi_T) of the infidelity 1 - |<V, psi_T>|^2 / h^2
     lam = -(cache.overlap / sys.dim_essential**2) * cache.v_emb
     sens = reverse_sequence(split, cache.p, cache.q, cache.dt, cache.states, lam,
-                            cfg.w_guard * cache.guard_coef, mask)
-    grad = controls_adjoint(params, cache.midpoints, sens)
+                            cfg.w_guard * cache.guard_coef, mask, cache.last)
+    grad = controls_adjoint(params, cache.grid, sens)
     grad += 2.0 * cfg.w_l2 * params.alpha
     grad[params.boundary_mask()] = 0.0
     return grad

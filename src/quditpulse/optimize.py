@@ -15,11 +15,14 @@ A run stops for one of five reasons, recorded in ``OptResult.reason``:
   ``FTOL * max(|f_k|, |f_k+1|, 1)`` (L-BFGS-B's relative-decrease stop);
 * ``kkt``: the projected gradient vanished;
 * ``no_descent``: no search direction passed the Armijo test within
-  ``MAX_LINE_SEARCH`` evaluations.
+  ``MAX_LINE_SEARCH`` trial steps.
 
 Every evaluation is one ``objective.forward`` pass; the accepted line-search
 candidate's cache goes to ``objective.backward``, so a step costs no extra
-forward sweep and Armijo tests and the history use the same values.
+forward sweep and Armijo tests and the history use the same values.  A
+trial step that the box projection maps onto the candidate just rejected
+is rejected again without a forward pass, so ``OptResult.n_forward``
+counts the forwards that ran, which can be fewer than the trial steps.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ LBFGS_MEMORY = 10
 ARMIJO_C = 1e-4
 BACKTRACK_FACTOR = 0.5
 MIN_BACKTRACK = 1e-14
-MAX_LINE_SEARCH = 20  # objective evaluations per search direction
+MAX_LINE_SEARCH = 20  # trial steps per search direction
 FTOL = 1e7 * np.finfo(float).eps  # relative decrease below which a run has stalled
 PROJECTED_GRAD_TOL = 1e-9
 
@@ -106,7 +109,7 @@ def minimize(
     the objective decreased by no more than FTOL relative (``stalled``), or
     the projected gradient vanishes (``kkt``); before a step, when the
     iteration budget is exhausted (``max_iter``) or no line search passes
-    the Armijo test within MAX_LINE_SEARCH evaluations (``no_descent``).
+    the Armijo test within MAX_LINE_SEARCH trial steps (``no_descent``).
     ``on_iteration`` receives (iteration, objective, infidelity, guard
     penalty, step size).
     """
@@ -137,6 +140,7 @@ def minimize(
 
     x = project(params0.alpha.copy())
     cache = evaluate(x)
+    tried = x  # the point ``cache`` holds
     value, infid = cache.total, cache.infidelity
     grad = evaluate_grad(cache)
     history = [value]
@@ -156,10 +160,14 @@ def minimize(
                 delta = candidate - x
                 slope = grad @ delta
                 if slope < 0.0:
-                    cache = None  # at most one forward cache alive
-                    cache = evaluate(candidate)
                     trials += 1
-                    n_forward += 1
+                    # The projection can map a shorter step onto the candidate
+                    # just rejected; its value is known, so it fails again.
+                    if not np.array_equal(candidate, tried):
+                        cache = None  # at most one forward cache alive
+                        cache = evaluate(candidate)
+                        n_forward += 1
+                        tried = candidate
                     if cache.total <= value + ARMIJO_C * slope:
                         moved = True
                         break

@@ -156,25 +156,48 @@ def basis_matrix(N_b: int, T: float, t: np.ndarray) -> np.ndarray:
     return _bspline_kernel((t[:, None] - centers[None, :]) / spacing)
 
 
+@dataclass(frozen=True, eq=False)
+class SampleGrid:
+    """Sample times t (M,) with the spline basis S_b(t) (M, N_b) and the
+    carrier phases exp(1j Omega_{k,j} t) (K, N_f, M): everything
+    ``eval_controls`` and ``controls_adjoint`` need that does not depend on
+    alpha."""
+
+    t: np.ndarray
+    basis: np.ndarray
+    phases: np.ndarray
+
+
+def sample_grid(N_b: int, T: float, carriers, t) -> SampleGrid:
+    """The basis and carrier phases of pulses with these N_b, T and carriers at times t."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    phases = np.exp(1j * (np.asarray(carriers, dtype=float)[:, :, None] * t))
+    grid = SampleGrid(t, basis_matrix(N_b, T, t), phases)
+    for arr in (grid.t, grid.basis, grid.phases):
+        arr.setflags(write=False)
+    return grid
+
+
 def eval_controls(params: PulseParams, t) -> tuple[np.ndarray, np.ndarray]:
     """Rotating-frame control pair (p_k, q_k) at time(s) t, in rad/ns.
 
-    Returns arrays of shape (K,) for scalar t and (K, len(t)) otherwise.
+    ``t`` is a time, an array of times or a ``SampleGrid`` built for
+    ``params``.  Returns arrays of shape (K,) for scalar t and (K, M)
+    otherwise.
     """
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    tt = np.atleast_1d(t_arr)
-    basis = basis_matrix(params.N_b, params.T, tt)  # (M, N_b)
+    if isinstance(t, SampleGrid):
+        grid, scalar = t, False
+    else:
+        grid, scalar = sample_grid(params.N_b, params.T, params.carriers, t), np.ndim(t) == 0
     coeff = params.alpha_complex()  # (K, N_f, N_b)
-    p = np.empty((params.num_controls, tt.size))
+    p = np.empty((params.num_controls, grid.t.size))
     q = np.empty_like(p)
     for k in range(params.num_controls):
         # einsum, not a BLAS product: at these shapes OpenBLAS runs threaded
         # and its workers then spin through the propagation that follows
         # (about 1.8x CPU per wall second on two cores, no wall-time gain).
-        envelopes = np.einsum("fb,mb->fm", coeff[k], basis)  # (N_f, M)
-        phases = np.exp(1j * np.outer(np.asarray(params.carriers[k]), tt))
-        total = np.sum(envelopes * phases, axis=0)
+        envelopes = np.einsum("fb,mb->fm", coeff[k], grid.basis)  # (N_f, M)
+        total = np.sum(envelopes * grid.phases[k], axis=0)
         p[k] = total.real
         q[k] = total.imag
     if scalar:
@@ -182,14 +205,13 @@ def eval_controls(params: PulseParams, t) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def controls_adjoint(params: PulseParams, t: np.ndarray, sens) -> np.ndarray:
-    """Adjoint of ``eval_controls``: maps sens = (dJ/dp, dJ/dq) at times t to
-    dJ/dalpha, whose (real, imag) pair is sum_t z e^{-i Omega t} S_b(t) for
-    z = dJ/dp + i dJ/dq."""
+def controls_adjoint(params: PulseParams, grid: SampleGrid, sens) -> np.ndarray:
+    """Adjoint of ``eval_controls`` on a grid: maps sens = (dJ/dp, dJ/dq) at
+    the grid's times to dJ/dalpha, whose (real, imag) pair is
+    sum_t z e^{-i Omega t} S_b(t) for z = dJ/dp + i dJ/dq."""
     z = (sens[0] + 1j * sens[1]).T  # (M, K)
-    phases = np.exp(-1j * t[:, None, None] * np.asarray(params.carriers))  # (M, K, N_f)
-    basis = basis_matrix(params.N_b, params.T, t)  # (M, N_b)
-    coeff = np.einsum("mkf,mb->kfb", z[:, :, None] * phases, basis)  # not BLAS, as above
+    phases = grid.phases.conj().transpose(2, 0, 1)  # (M, K, N_f)
+    coeff = np.einsum("mkf,mb->kfb", z[:, :, None] * phases, grid.basis)  # not BLAS, as above
     return np.stack([coeff.real, coeff.imag], axis=-1).reshape(-1)
 
 

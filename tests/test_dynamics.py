@@ -82,11 +82,11 @@ class TestPropagate:
         n_steps, dt = step_grid(params.T, 20)
         mid = (np.arange(n_steps) + 0.5) * dt
         p, q = eval_controls(params, mid)
-        forward = propagate_sequence(split, p, q, dt, embed)[0]
+        forward = propagate_sequence(split, p, q, dt, embed)[0][-1]
         negated_drift = replace(split, drift_vals=-split.drift_vals)
         back = propagate_sequence(
             negated_drift, -p[:, ::-1], -q[:, ::-1], dt, forward
-        )[0]
+        )[0][-1]
         assert np.max(np.abs(back - embed)) < 1e-8
 
     def test_non_finite_controls_raise(self):
@@ -205,7 +205,7 @@ class TestSweep:
                 store = np.arange(n_steps + 1)
             else:
                 store = np.sort(rng.choice(n_steps + 1, min(5, n_steps + 1), replace=False))
-            states = propagate_sequence(split, p[:, :n_steps], q[:, :n_steps], dt, embed, store)
+            states, _ = propagate_sequence(split, p[:, :n_steps], q[:, :n_steps], dt, embed, store)
             expected = np.stack([reference[i] for i in store])
             assert np.max(np.abs(states - expected)) <= 1e-11, n_steps
 

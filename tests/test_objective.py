@@ -1,3 +1,6 @@
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,6 @@ from quditpulse.dynamics import (
     BLOCK,
     MAX_STORED_STEPS,
     PropagationError,
-    Trajectory,
     guard_population_columns,
     propagate,
     system_operators,
@@ -20,16 +22,19 @@ from quditpulse.model import (
 )
 from quditpulse.objective import (
     ObjectiveConfig,
+    _guard_coefficients,
     backward,
     forward,
     gradient,
-    guard_penalty,
     objective,
     objective_parts,
     trace_infidelity,
     value_and_gradient,
 )
 from quditpulse.pulse import basis_matrix, default_params, random_guess
+
+# The package rebinds the name ``objective`` to the function.
+objective_mod = importlib.import_module("quditpulse.objective")
 
 
 def _random_pulse(sys, T, scale, seed):
@@ -65,10 +70,11 @@ def _per_step_reference_gradient(cache):
             s_b[k, m] = 2.0 * np.real(np.sum(kernel_p * (basis_q.conj().T @ b_op @ basis_q)))
         lam = half.conj().T @ (basis_q @ (np.exp(1j * dt * evals)[:, None] * lam_t))
         lam = lam + guard_coef[m] * (mask[:, None] * cache.states[m])
-    basis_mid = basis_matrix(params.N_b, params.T, cache.midpoints)
+    midpoints = (np.arange(n_steps) + 0.5) * dt
+    basis_mid = basis_matrix(params.N_b, params.T, midpoints)
     grad = np.empty((params.num_controls, params.num_carriers, params.N_b, 2))
     for k in range(params.num_controls):
-        phases = np.outer(cache.midpoints, np.asarray(params.carriers[k]))
+        phases = np.outer(midpoints, np.asarray(params.carriers[k]))
         cosw, sinw = np.cos(phases), np.sin(phases)
         grad[k, :, :, 0] = (cosw * s_a[k][:, None] + sinw * s_b[k][:, None]).T @ basis_mid
         grad[k, :, :, 1] = (cosw * s_b[k][:, None] - sinw * s_a[k][:, None]).T @ basis_mid
@@ -128,29 +134,30 @@ class TestTraceInfidelity:
 class TestGuardPenalty:
     def test_no_guards(self):
         sys = transmon_system(num_qudits=1, d=3, guard=0)
-        traj = propagate(sys, _random_pulse(sys, 12.0, 0.6, 1))
-        assert guard_penalty(traj) == 0.0
+        params = _random_pulse(sys, 12.0, 0.6, 1)
+        assert forward(sys, params, gate("X_d", 3), ObjectiveConfig()).guard == 0.0
 
-    def test_constant_population_average(self):
-        times = np.linspace(0.0, 10.0, 11)
-        states = np.zeros((11, 3, 1), dtype=complex)
-        guard_pop = np.full((11, 1), 0.25)
-        traj = Trajectory(times, states, guard_pop)
-        assert guard_penalty(traj) == pytest.approx(0.25)
+    def test_constant_population_average(self, monkeypatch):
+        # Each column holds 0.25 on the guard states at every stored time.
+        def constant(states, mask, steps):
+            return np.full((len(steps), states.shape[2]), 0.25)
+
+        monkeypatch.setattr(objective_mod, "guard_population_columns", constant)
+        sys = transmon_system(num_qudits=1, d=3, guard=2)
+        params = _random_pulse(sys, 10.0, 0.5, 4)
+        assert forward(sys, params, gate("X_d", 3), ObjectiveConfig()).guard == pytest.approx(0.25)
 
     def test_decimated_close_to_full(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         params = _random_pulse(sys, 60.0, 1.0, 9)
-        # 60 ns * 100 steps/ns = 6000 steps: default storage decimates ~6x
-        decimated = propagate(sys, params, steps_per_ns=100)
-        states = forward(sys, params, gate("X_d", 2), ObjectiveConfig(), steps_per_ns=100).states
+        # 60 ns * 100 steps/ns = 6000 steps: the guard average decimates ~6x
+        cache = forward(sys, params, gate("X_d", 2), ObjectiveConfig(), steps_per_ns=100)
         _, _, mask = system_operators(sys)
-        times = np.linspace(0.0, params.T, len(states))
-        full = Trajectory(times, states, guard_population_columns(states, mask))
-        assert len(decimated.times) < len(full.times)
-        assert guard_penalty(decimated) == pytest.approx(
-            guard_penalty(full), abs=1e-4
-        )
+        times = np.linspace(0.0, params.T, len(cache.states))
+        coef = _guard_coefficients(times, sys.dim_essential)
+        full = coef @ guard_population_columns(cache.states, mask).sum(axis=-1)
+        assert np.count_nonzero(cache.guard_coef) < len(cache.states)
+        assert cache.guard == pytest.approx(full, abs=1e-4)
 
 
 class TestObjective:
@@ -257,31 +264,62 @@ class TestGradient:
         adjoint = backward(cache) @ direction
         assert abs(adjoint - central) <= 1e-6 * abs(central)
 
-    def test_batched_reverse_pass_matches_per_step_loop(self):
-        # Several reverse blocks plus a ragged tail, and more steps than
-        # MAX_STORED_STEPS, so guard terms sit on a decimated grid and the
-        # adjoint state crosses block edges between guard samples.
-        n_steps = 8 * BLOCK + 37
+    @pytest.mark.parametrize("n_steps", [BLOCK + 2, 2 * BLOCK + 27, 8 * BLOCK + 37])
+    def test_batched_reverse_pass_matches_per_step_loop(self, n_steps):
+        # Blocks are aligned to the end of the pulse, so each count leaves a
+        # short first block and the reverse sweep starts from the forward's
+        # full last block.  With more steps than MAX_STORED_STEPS the guard
+        # terms sit on a decimated grid and the adjoint state crosses block
+        # edges between guard samples.
         sys = transmon_system(num_qudits=1, d=3, guard=2)
         params = _random_pulse(sys, n_steps / 20, 0.8, 27)
         target = gate("H_d", 3)
         cfg = ObjectiveConfig(w_guard=0.3, w_l2=1e-4)
         cache = forward(sys, params, target, cfg, steps_per_ns=20)
-        assert cache.p.shape[1] == n_steps and np.count_nonzero(cache.guard_coef) < n_steps
+        assert cache.p.shape[1] == n_steps
+        decimated = np.count_nonzero(cache.guard_coef) < n_steps
+        assert decimated == (n_steps > MAX_STORED_STEPS)
         batched = backward(cache)
         reference = _per_step_reference_gradient(cache)
         assert np.max(np.abs(batched - reference)) <= 1e-13 * np.max(np.abs(reference))
 
-    def test_two_qudit_reverse_pass_matches_per_step_loop(self):
+    @pytest.mark.parametrize("n_steps", [BLOCK + 2, 160, 2 * BLOCK + 27])
+    def test_two_qudit_reverse_pass_matches_per_step_loop(self, n_steps):
         # The reverse sweep applies one qudit's kernel at a time; the
         # reference uses the kernel of the full two-qudit eigenbasis.
         sys = transmon_system(num_qudits=2, d=3, guard=2)
-        params = _random_pulse(sys, 4.0, 0.8, 28)
+        params = _random_pulse(sys, n_steps / 40, 0.8, 28)
         cfg = ObjectiveConfig(w_guard=0.3, w_l2=1e-4)
-        cache = forward(sys, params, gate("SWAP_d", 3), cfg)
-        assert cache.p.shape[1] > BLOCK
+        cache = forward(sys, params, gate("SWAP_d", 3), cfg, steps_per_ns=40)
+        assert cache.p.shape[1] == n_steps
         reference = _per_step_reference_gradient(cache)
         assert np.max(np.abs(backward(cache) - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("num_qudits, d, gate_name", [
+        (1, 2, "X_d"), (2, 2, "CNOT"), (2, 3, "SWAP_d")])
+    def test_backward_is_pure(self, num_qudits, d, gate_name):
+        # The reverse sweep reads the forward's last block of steps; two
+        # gradients from one cache agree bit for bit and leave it unchanged.
+        sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
+        params = _random_pulse(sys, 2 * BLOCK / 20 + 1.0, 0.5, 29)
+        cache = forward(sys, params, gate(gate_name, d), ObjectiveConfig(w_guard=0.3),
+                        steps_per_ns=20)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                return [value]
+            if dataclasses.is_dataclass(value):
+                value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+            if isinstance(value, (list, tuple)):
+                return [a for v in value for a in arrays(v)]
+            return []
+
+        before = [a.copy() for a in arrays(cache)]
+        first, second = backward(cache), backward(cache)
+        assert cache.last is not None and first.tobytes() == second.tobytes()
+        after = arrays(cache)
+        assert len(after) == len(before)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
 
     def test_pinned_coordinates_zero(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)

@@ -178,6 +178,55 @@ class TestMinimize:
         assert np.array_equal(res.alpha_final, params.alpha)
         assert res.fidelity == 1.0 - start.infidelity
 
+    @pytest.mark.parametrize("reject", [False, True])
+    def test_projected_repeat_not_propagated_again(self, monkeypatch, reject):
+        # From this seed the first -grad halvings clip to the same box corner.
+        # A repeat of the candidate just rejected is rejected without a
+        # forward pass; it still counts as a trial, so every decision and
+        # result matches a run that propagates every trial step, also when
+        # every candidate fails and the search runs out of trials.
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        params = _seeded(sys, 40.0, 1.0, 5)
+        real_forward = optimize_mod.forward
+        start = real_forward(sys, params, gate("H_d", 2), ObjectiveConfig(), 5)
+
+        class EveryTrialPropagated:  # numpy, except that no two candidates compare equal
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def array_equal(a, b):
+                return False
+
+        def run(numpy_module):
+            evaluated = []
+
+            def recording_forward(sys_, params_, *args, **kwargs):
+                evaluated.append(params_.alpha.tobytes())
+                cache = real_forward(sys_, params_, *args, **kwargs)
+                if reject and len(evaluated) > 1:
+                    return dataclasses.replace(cache, total=start.total + 1.0)
+                return cache
+
+            monkeypatch.setattr(optimize_mod, "forward", recording_forward)
+            monkeypatch.setattr(optimize_mod, "np", numpy_module)
+            res = minimize(sys, params, gate("H_d", 2), ObjectiveConfig(), max_iter=10,
+                           steps_per_ns=5)
+            return res, evaluated
+
+        every, every_evaluated = run(EveryTrialPropagated())
+        skipped, evaluated = run(np)
+        assert len(set(every_evaluated[:10])) < len(every_evaluated[:10])
+        if reject:
+            assert every.reason == "no_descent"
+            assert every.n_forward == 1 + MAX_LINE_SEARCH
+        assert np.array_equal(skipped.alpha_final, every.alpha_final)
+        assert skipped.objective_history == every.objective_history
+        assert (skipped.reason, skipped.iterations) == (every.reason, every.iterations)
+        assert skipped.n_gradient == every.n_gradient
+        assert skipped.n_forward == len(evaluated) == len(set(every_evaluated))
+        assert skipped.n_forward < every.n_forward == len(every_evaluated)
+
     def test_relative_decrease_stop(self, monkeypatch):
         # Every step passes Armijo but lowers the objective by only 1e-12, far
         # below FTOL relative: the run stops after one step instead of

@@ -18,6 +18,7 @@ from quditpulse.pulse import (
     random_guess,
     refit,
     rotating_frame_frequency,
+    sample_grid,
     save_pulse,
 )
 
@@ -168,7 +169,8 @@ class TestEvalControls:
         sens = rng.standard_normal((2, params.num_controls, t.size))
         p, q = eval_controls(params, t)
         lhs = np.sum(sens[0] * p) + np.sum(sens[1] * q)
-        rhs = controls_adjoint(params, t, sens) @ params.alpha
+        grid = sample_grid(params.N_b, params.T, params.carriers, t)
+        rhs = controls_adjoint(params, grid, sens) @ params.alpha
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
