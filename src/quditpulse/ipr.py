@@ -14,8 +14,9 @@ Each fixed-duration optimization seeds the next one with a refitted
   best-fidelity duration with a fresh random guess (bounded number of
   restarts).
 
-An attempt succeeds when its trace infidelity, ``1 - fidelity``, lies
-strictly below the error threshold, the same test ``minimize`` stops on.
+An attempt succeeds when ``1 - fidelity`` lies strictly below the error
+threshold.  That is not the test ``minimize`` stops on, which compares the
+search-grid infidelity: the real optimizer's ``fidelity`` is the certificate's.
 
 The optimizer is injected as a callable so the state machine can be driven
 by mocks in tests.  The real one, ``standard_optimizer``, searches on a
@@ -26,7 +27,7 @@ if a certificate holds: the infidelity, recomputed by ``propagate``, is
 below the threshold at the claim resolution and at twice it.  The reported
 fidelity is ``1 - max`` of the certificate's values.  A coarse run that
 converged but misses the threshold at the claim resolution continues there
-from its own ``alpha``; the attempt's evaluation counts cover both runs.  A
+from its own ``alpha``; the attempt's history and counts cover both runs.  A
 converged run that fails the certificate is reported as ``uncertified``.
 
 ``multi_run`` runs its searches on a pool of forked worker processes that
@@ -195,29 +196,25 @@ class StandardOptimizer:
 
     def __call__(self, sys: QuditSystem, params: PulseParams, target: GateSpec) -> OptResult:
         claim = default_steps_per_ns(sys) if self.steps_per_ns is None else self.steps_per_ns
-        search = search_resolution(claim)
-        result = minimize(sys, params, target, self.cfg, self.max_iter, search)
-        values = self.certificate(sys, params.with_alpha(result.alpha_final), target, claim)
-        # A warm start at the claim resolution can only help where the claim
-        # check failed: from a pulse that passes there, minimize stops at once.
-        if result.converged and search < claim and not values[0] < self.cfg.error_threshold:
-            coarse = result
-            result = minimize(sys, params.with_alpha(coarse.alpha_final), target,
-                              self.cfg, self.max_iter, claim)
-            result = replace(
-                result,
-                objective_history=coarse.objective_history + result.objective_history,
-                iterations=coarse.iterations + result.iterations,
-                n_forward=coarse.n_forward + result.n_forward,
-                n_gradient=coarse.n_gradient + result.n_gradient,
-            )
-            values = self.certificate(sys, params.with_alpha(result.alpha_final), target,
-                                      claim)
+        runs: list[OptResult] = []
+        # Continue at the claim resolution (not again if it is the search's) only
+        # after a converged run that misses there; from a pass, minimize stops at once.
+        for resolution in dict.fromkeys((search_resolution(claim), claim)):
+            result = minimize(sys, params, target, self.cfg, self.max_iter, resolution)
+            runs.append(result)
+            params = params.with_alpha(result.alpha_final)
+            values = self.certificate(sys, params, target, claim)
+            if not result.converged or values[0] < self.cfg.error_threshold:
+                break
         fidelity = 1.0 - max(values)
         reason = result.reason
         if reason == "converged" and not meets_threshold(fidelity, self.cfg.error_threshold):
             reason = "uncertified"
-        return replace(result, fidelity=fidelity, reason=reason)
+        return replace(result, fidelity=fidelity, reason=reason,
+                       objective_history=[v for run in runs for v in run.objective_history],
+                       iterations=sum(run.iterations for run in runs),
+                       n_forward=sum(run.n_forward for run in runs),
+                       n_gradient=sum(run.n_gradient for run in runs))
 
 
 def standard_optimizer(
@@ -265,16 +262,19 @@ def ipr_run(
     )
     step = _snap(step, granularity)
     t_current = max(_snap(cfg.T_start, granularity), granularity)
-
     rng = np.random.default_rng(cfg.seed)
-    params = default_params(sys, t_current)
-    params = params.with_alpha(random_guess(params, cfg.guess_scale, rng))
+
+    def fresh_guess(T: float) -> PulseParams:
+        """The first attempt's and every restart's seed: one draw from ``rng``."""
+        params = default_params(sys, T)
+        return params.with_alpha(random_guess(params, cfg.guess_scale, rng))
+
+    params = fresh_guess(t_current)
     seed_kind = "random"
 
     records: list[IPRRecord] = []
-    t_best: float | None = None
+    best: IPRRecord | None = None  # the last success: its duration and fidelity
     best_params: PulseParams | None = None
-    fidelity_at_best = 0.0
     prev_fidelity: float | None = None
     best_failed_t = t_current
     restarts = 0
@@ -290,50 +290,40 @@ def ipr_run(
             )
         )
 
-        if success:
-            t_best = t_current
-            best_params = params.with_alpha(result.alpha_final)
-            fidelity_at_best = fidelity
-            nxt = _next_lower(t_best, step, granularity)
-            if nxt is None:
-                break
-            t_current, step = nxt
-            params = refit(best_params, t_current)
-            seed_kind = "truncated"
-        elif t_best is not None:
-            halved = _halve_step(step, granularity)
-            if halved is None:
-                break
-            nxt = _next_lower(t_best, halved, granularity)
-            if nxt is None:
-                break
-            t_current, step = nxt
-            params = refit(best_params, t_current)
-            seed_kind = "truncated"
-        else:
-            improved = prev_fidelity is None or fidelity > prev_fidelity
-            if improved:
-                best_failed_t = t_current
-                prev_fidelity = fidelity
-                t_current = t_current + step
-                params = refit(params.with_alpha(result.alpha_final), t_current)
-                seed_kind = "extended"
+        if success or best is not None:
+            # Step down from the best duration; a failure halves the step first.
+            if success:
+                best = records[-1]
+                best_params = params.with_alpha(result.alpha_final)
             else:
-                if restarts >= cfg.max_restarts:
+                step = _halve_step(step, granularity)
+                if step is None:
                     break
-                restarts += 1
-                t_current = best_failed_t
-                params = default_params(sys, t_current)
-                params = params.with_alpha(random_guess(params, cfg.guess_scale, rng))
-                seed_kind = "random"
-                prev_fidelity = None
+            nxt = _next_lower(best.T, step, granularity)
+            if nxt is None:
+                break
+            t_current, step = nxt
+            params = refit(best_params, t_current)
+            seed_kind = "truncated"
+        elif prev_fidelity is None or fidelity > prev_fidelity:
+            best_failed_t = t_current
+            prev_fidelity = fidelity
+            t_current = t_current + step
+            params = refit(params.with_alpha(result.alpha_final), t_current)
+            seed_kind = "extended"
+        elif restarts < cfg.max_restarts:
+            restarts += 1
+            t_current = best_failed_t
+            params = fresh_guess(t_current)
+            seed_kind = "random"
+            prev_fidelity = None
+        else:
+            break
 
-    if t_best is None:
+    if best is None:
         best_fid = max((r.fidelity for r in records), default=0.0)
         return IPRResult(None, None, best_fid, records, restarts)
-    return IPRResult(
-        t_best, best_params.alpha, fidelity_at_best, records, restarts
-    )
+    return IPRResult(best.T, best_params.alpha, best.fidelity, records, restarts)
 
 
 @dataclass
@@ -458,15 +448,10 @@ def multi_run(
     else:
         results = [ipr_run(sys, target, c, optimizer) for c in configs]
 
-    order = sorted(
-        range(n_runs),
-        key=lambda i: (
-            results[i].T_best if results[i].succeeded else math.inf,
-            configs[i].seed,
-        ),
-    )
-    results = [results[i] for i in order]
-    configs = [configs[i] for i in order]
+    ranked = sorted(zip(results, configs),
+                    key=lambda rc: (rc[0].T_best if rc[0].succeeded else math.inf, rc[1].seed))
+    results = [r for r, _ in ranked]
+    configs = [c for _, c in ranked]
 
     durations = [r.T_best for r in results if r.succeeded]
     fid_best = max((r.fidelity_best for r in results), default=0.0)

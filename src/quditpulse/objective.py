@@ -26,6 +26,7 @@ finite-difference fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,20 +82,23 @@ def trace_infidelity(final_states: np.ndarray, v_embedded: np.ndarray, h: int) -
     return float(min(1.0, max(0.0, 1.0 - (abs(overlap) ** 2) / h**2)))
 
 
-def _guard_coefficients(times: np.ndarray, n_cols: int) -> np.ndarray:
-    """c with guard penalty = c @ (guard population summed over columns).
-
-    The penalty is the trapezoid-rule time average over ``times`` of the
-    column-averaged guard population.
-    """
-    if len(times) < 2:
-        return np.full(1, 1.0 / n_cols)
+@lru_cache(maxsize=1)
+def _guard_weights(n_steps: int, dt: float, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stored step indices and weights c on all n_steps + 1 states, both
+    read-only: guard penalty = c @ (guard population summed over columns), the
+    trapezoid-rule time average over the stored times of the column-averaged
+    guard population."""
+    idx = stored_indices(n_steps)
+    times = idx * dt
     w = np.empty_like(times)
     w[0] = 0.5 * (times[1] - times[0])
     w[-1] = 0.5 * (times[-1] - times[-2])
-    if len(times) > 2:
-        w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    return w / ((times[-1] - times[0]) * n_cols)
+    w[1:-1] = 0.5 * (times[2:] - times[:-2])
+    coef = np.zeros(n_steps + 1)
+    coef[idx] = w / ((times[-1] - times[0]) * n_cols)
+    idx.setflags(write=False)
+    coef.setflags(write=False)
+    return idx, coef
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,9 +138,7 @@ def forward(
     states, last = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
     v_emb = embed_target(target, sys)
     infid = trace_infidelity(states[-1], v_emb, sys.dim_essential)
-    idx = stored_indices(n_steps)
-    coef = np.zeros(n_steps + 1)
-    coef[idx] = _guard_coefficients(idx * dt, sys.dim_essential)
+    idx, coef = _guard_weights(n_steps, dt, sys.dim_essential)
     guard = float(coef[idx] @ guard_population_columns(states, mask, idx).sum(axis=-1))
     total = infid + cfg.w_guard * guard + cfg.w_l2 * float(params.alpha @ params.alpha)
     overlap = np.vdot(v_emb, states[-1])
@@ -201,11 +203,8 @@ def _fd_gradient(
     steps_per_ns: int | None,
 ) -> np.ndarray:
     step = FD_STEP_FRACTION * params.alpha_max
-    pinned = params.boundary_mask()
     grad = np.zeros_like(params.alpha)
-    for i in range(params.alpha.size):
-        if pinned[i]:
-            continue
+    for i in np.flatnonzero(~params.boundary_mask()):
         bumped = params.alpha.copy()
         bumped[i] = params.alpha[i] + step
         plus = objective(sys, params.with_alpha(bumped), target, cfg, steps_per_ns)

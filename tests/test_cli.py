@@ -352,6 +352,39 @@ class TestBadInput:
         assert code == 1 and _error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["optimize", "--T", "30"],
+        ["ipr", "--t-start", "30"],
+        ["ipr", "--t-start", "30", "--mock-threshold", "20"],
+        ["sweep", "--d-range", "2", "--runs", "2", "--mock-threshold", "20"],
+    ])
+    @pytest.mark.parametrize("doc", [
+        {"system": {"guard": -1}},
+        {"objective": {"error_threshold": 0}},
+        {"objective": {"error_threshold": 1}},
+    ])
+    def test_config_value_out_of_range(self, tmp_path, capsys, command, doc):
+        self._assert_rejected(tmp_path, capsys, command, doc)
+
+    @pytest.mark.parametrize("doc", [
+        {"objective": {"w_guard": -0.1}},
+        {"optimizer": {"guess_scale": 1.5}},
+    ])
+    def test_optimize_config_value_out_of_range(self, tmp_path, capsys, doc):
+        self._assert_rejected(tmp_path, capsys, ["optimize", "--T", "30"], doc)
+
+    @staticmethod
+    def _assert_rejected(tmp_path, capsys, command, doc):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main([command[0], "--config", str(path), "--gate", "X_d", *command[1:],
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and any(line.startswith("error:") for line in err.splitlines())
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["optimize", "--gate", "X_d", "--T", "inf"],
         ["optimize", "--gate", "X_d", "--T", "nan"],

@@ -25,7 +25,7 @@ from quditpulse.ipr import (
 from quditpulse.model import gate, transmon_system
 from quditpulse.objective import ObjectiveConfig, forward
 from quditpulse.optimize import OptimizerAbort, OptResult
-from quditpulse.pulse import default_params
+from quditpulse.pulse import default_params, random_guess
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +165,27 @@ class TestStateMachine:
         assert kinds == ["random", "extended"] * 4
         # every restart returns to the best-fidelity duration
         assert [r.T for r in res.records if r.seed_kind == "random"] == [30.0] * 4
+
+    def test_restart_guesses_are_successive_draws_of_one_rng(self, h4_setup):
+        sys, target = h4_setup
+        cfg = IPRConfig(T_start=30.0, step=4.0, granularity=1.0, guess_scale=0.2, seed=11,
+                        max_restarts=3)
+        starts = []
+        decreasing = _fidelity_mock(lambda t: 0.9 - 0.001 * t)
+
+        def recording(sys_, params, target_):
+            starts.append(params.alpha.copy())
+            return decreasing(sys_, params, target_)
+
+        res = ipr_run(sys, target, cfg, recording)
+        assert res.restarts_used == 3
+        rng = np.random.default_rng(cfg.seed)
+        fresh = [(start, r.T) for start, r in zip(starts, res.records) if r.seed_kind == "random"]
+        assert len(fresh) == 4
+        for start, T in fresh:
+            expected = random_guess(default_params(sys, T), cfg.guess_scale, rng)
+            assert np.array_equal(start, expected)
+        assert not np.array_equal(fresh[0][0], fresh[1][0])
 
     def test_granularity_floor(self, h4_setup):
         sys, target = h4_setup
@@ -512,8 +533,10 @@ class TestCertificate:
 
     def test_warm_start_at_claim_resolution(self, monkeypatch, x2):
         sys, params, target = x2
-        coarse = _converged(0.01, params.alpha.size, 7, 3)
-        fine = _converged(0.02, params.alpha.size, 4, 2)
+        coarse = dataclasses.replace(_converged(0.01, params.alpha.size, 7, 3),
+                                     objective_history=[0.5, 0.3, 0.1])
+        fine = dataclasses.replace(_converged(0.02, params.alpha.size, 4, 2),
+                                   objective_history=[0.05, 0.01])
         fake = _FakeSearch(monkeypatch, [coarse, fine], {
             (0.01, 20): 2e-3,  # converged on the coarse grid, misses on the claim grid
             (0.02, 20): 6e-4,
@@ -525,6 +548,8 @@ class TestCertificate:
         assert res_warm == 20 and np.array_equal(alpha_warm, coarse.alpha_final)
         assert fake.propagations == [20, 20, 40]
         assert result.n_forward == 11 and result.n_gradient == 5
+        assert result.objective_history == coarse.objective_history + fine.objective_history
+        assert result.iterations == coarse.iterations + fine.iterations == 3
         assert np.array_equal(result.alpha_final, fine.alpha_final)
         assert result.reason == "converged"
         assert result.fidelity == 1.0 - 7e-4

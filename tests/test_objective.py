@@ -22,7 +22,6 @@ from quditpulse.model import (
 )
 from quditpulse.objective import (
     ObjectiveConfig,
-    _guard_coefficients,
     backward,
     forward,
     gradient,
@@ -154,10 +153,21 @@ class TestGuardPenalty:
         cache = forward(sys, params, gate("X_d", 2), ObjectiveConfig(), steps_per_ns=100)
         _, _, mask = system_operators(sys)
         times = np.linspace(0.0, params.T, len(cache.states))
-        coef = _guard_coefficients(times, sys.dim_essential)
-        full = coef @ guard_population_columns(cache.states, mask).sum(axis=-1)
+        pop = guard_population_columns(cache.states, mask).sum(axis=-1) / sys.dim_essential
+        full = np.sum(0.5 * (pop[1:] + pop[:-1]) * np.diff(times)) / params.T
         assert np.count_nonzero(cache.guard_coef) < len(cache.states)
         assert cache.guard == pytest.approx(full, abs=1e-4)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 125, 1000, 1001, 4321])
+    def test_weights_built_once_per_grid(self, n_steps):
+        dt, n_cols = 0.05, 3
+        idx, coef = objective_mod._guard_weights(n_steps, dt, n_cols)
+        assert idx[0] == 0 and idx[-1] == n_steps
+        assert np.count_nonzero(coef) == len(idx) and coef[idx].min() > 0
+        # The trapezoid weights of a time average sum to one, per column.
+        assert coef.sum() == pytest.approx(1.0 / n_cols, rel=1e-12)
+        assert not idx.flags.writeable and not coef.flags.writeable
+        assert objective_mod._guard_weights(n_steps, dt, n_cols)[1] is coef
 
 
 class TestObjective:
