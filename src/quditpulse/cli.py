@@ -14,16 +14,13 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import __version__, analysis, ipr as ipr_mod, pulse as pulse_mod
 from .dynamics import PropagationError, guard_populations, propagate
 from .model import (
-    DEFAULT_COUPLING_GHZ,
-    DEFAULT_OMEGA_GHZ,
-    DEFAULT_XI_GHZ,
     GATE_NAMES,
     TWO_QUDIT_GATES,
     QuditSystem,
@@ -48,39 +45,53 @@ class CliError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """User-facing configuration; frequencies in GHz, time in ns."""
+    """User-facing configuration; frequencies in GHz, time in ns.
 
-    guard: int = 2
-    omega_ghz: tuple[float, ...] = DEFAULT_OMEGA_GHZ
-    xi_ghz: tuple[float, ...] = DEFAULT_XI_GHZ
-    coupling_ghz: float = DEFAULT_COUPLING_GHZ
-    omega_rot_ghz: float | None = None
-    w_guard: float = 0.1
-    w_l2: float = 0.0
-    error_threshold: float = 1e-3
+    ``system`` holds only the ``transmon_system`` keyword arguments the config sets.
+    """
+
+    system: dict = field(default_factory=dict)
+    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
     max_iter: int | None = None
-    guess_scale: float = 0.01
+    guess_scale: float = ipr_mod.IPRConfig.guess_scale
     steps_per_ns: int | None = None
     seed: int = 1234
 
 
-_CONFIG_SECTIONS = {
-    "system": {"guard", "omega_ghz", "xi_ghz", "coupling_ghz", "omega_rot_ghz"},
-    "objective": {"w_guard", "w_l2", "error_threshold"},
-    "optimizer": {"max_iter", "guess_scale"},
-    "integrator": {"steps_per_ns"},
+# The JSON type of each config key; a dict is a section of further keys.
+CONFIG_KEYS = {
+    "system": {"guard": "int", "omega_ghz": "list[float]", "xi_ghz": "list[float]",
+               "coupling_ghz": "float", "omega_rot_ghz": "float | None"},
+    "objective": {"w_guard": "float", "w_l2": "float", "error_threshold": "float"},
+    "optimizer": {"max_iter": "int | None", "guess_scale": "float"},
+    "integrator": {"steps_per_ns": "int | None"},
+    "seed": "int",
 }
 
 
 def _fits(kind: str, value) -> bool:
-    """Whether a JSON value fits the RunConfig annotation ``kind``."""
+    """Whether a JSON value has the leaf type ``kind`` of ``CONFIG_KEYS``."""
     if value is None:
         return kind.endswith("| None")
-    if kind.startswith("tuple"):
+    if kind.startswith("list"):
         return isinstance(value, list) and all(_fits("float", x) for x in value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return isinstance(value, int) if kind.startswith("int") else math.isfinite(value)
+
+
+def _check(value, kind, name: str) -> None:
+    """Raise CliError unless a JSON value has the ``CONFIG_KEYS`` type ``kind``."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise CliError(f"config {name} must be an object")
+        unknown = set(value) - set(kind)
+        if unknown:
+            raise CliError(f"unknown keys in config {name}: {sorted(unknown)}")
+        for key, item in value.items():
+            _check(item, kind[key], repr(key))
+    elif not _fits(kind, value):
+        raise CliError(f"config {name} must be {kind}, got {value!r}")
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -94,65 +105,43 @@ def load_config(path: str | None) -> RunConfig:
         raise CliError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"malformed config JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise CliError("config root must be a JSON object")
-
-    fields: dict = {}
-    for section, keys in _CONFIG_SECTIONS.items():
-        block = doc.pop(section, {})
-        if not isinstance(block, dict):
-            raise CliError(f"config section {section!r} must be an object")
-        unknown = set(block) - keys
-        if unknown:
-            raise CliError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
-        fields.update(block)
-    if "seed" in doc:
-        fields["seed"] = doc.pop("seed")
-    if doc:
-        raise CliError(f"unknown top-level config keys: {sorted(doc)}")
-
-    kinds = RunConfig.__annotations__  # strings: this module defers annotations
-    for key, value in fields.items():
-        if not _fits(kinds[key], value):
-            raise CliError(f"config key {key!r} must be {kinds[key]}, got {value!r}")
-        if isinstance(value, list):
-            fields[key] = tuple(value)
-    # Value ranges are checked where the values are used: by QuditSystem,
-    # ObjectiveConfig, IPRConfig and random_guess, whose ValueError exits 1.
-    return RunConfig(**fields)
+    _check(doc, CONFIG_KEYS, "root")
+    # Value ranges are checked where the values are used: by ObjectiveConfig
+    # here, and by QuditSystem, StandardOptimizer, IPRConfig and random_guess;
+    # their ValueError exits 1.
+    return RunConfig(
+        system=doc.get("system", {}),
+        objective=ObjectiveConfig(**doc.get("objective", {})),
+        **doc.get("optimizer", {}),
+        **doc.get("integrator", {}),
+        seed=doc.get("seed", RunConfig.seed),
+    )
 
 
 def build_system(cfg: RunConfig, gate_name: str, d: int) -> QuditSystem:
     num_qudits = 2 if gate_name in TWO_QUDIT_GATES else 1
-    return transmon_system(
-        num_qudits=num_qudits,
-        d=d,
-        guard=cfg.guard,
-        omega_ghz=cfg.omega_ghz,
-        xi_ghz=cfg.xi_ghz,
-        coupling_ghz=cfg.coupling_ghz,
-        omega_rot_ghz=cfg.omega_rot_ghz,
-    )
+    return transmon_system(num_qudits, d, **cfg.system)
 
 
-def _objective_config(cfg: RunConfig) -> ObjectiveConfig:
-    return ObjectiveConfig(cfg.w_guard, cfg.w_l2, cfg.error_threshold)
-
-
-def _ipr_config(cfg: RunConfig, t_start: float, seed_offset: int = 0) -> ipr_mod.IPRConfig:
+def _ipr_config(
+    cfg: RunConfig, t_start: float, step: float | None = None, seed_offset: int = 0
+) -> ipr_mod.IPRConfig:
     return ipr_mod.IPRConfig(
         T_start=t_start,
+        step=step,
         guess_scale=cfg.guess_scale,
-        error_threshold=cfg.error_threshold,
+        error_threshold=cfg.objective.error_threshold,
         seed=cfg.seed + seed_offset,
     )
 
 
 def _optimizer(cfg: RunConfig, mock_threshold: float | None, units: int = 1):
     """The standard optimizer, or the mock succeeding from mock_threshold * units."""
+    # Built for the mock too, so that a config the mock ignores is still checked.
+    standard = ipr_mod.standard_optimizer(cfg.objective, cfg.max_iter, cfg.steps_per_ns)
     if mock_threshold is not None:
         return ipr_mod.threshold_mock_optimizer(mock_threshold * units)
-    return ipr_mod.standard_optimizer(_objective_config(cfg), cfg.max_iter, cfg.steps_per_ns)
+    return standard
 
 
 def cmd_optimize(args) -> int:
@@ -168,7 +157,7 @@ def cmd_optimize(args) -> int:
         log_rows.append((iteration, value, infid, guard, step))
 
     result = minimize(
-        system, params, target, _objective_config(cfg),
+        system, params, target, cfg.objective,
         max_iter=cfg.max_iter, steps_per_ns=cfg.steps_per_ns, on_iteration=log,
     )
     save_pulse(
@@ -218,9 +207,7 @@ def cmd_ipr(args) -> int:
     system = build_system(cfg, args.gate, args.d)
     target = gate(args.gate, args.d)
     optimizer = _optimizer(cfg, args.mock_threshold)
-    ipr_cfg = _ipr_config(cfg, args.t_start)
-    if args.step is not None:
-        ipr_cfg = replace(ipr_cfg, step=args.step)
+    ipr_cfg = _ipr_config(cfg, args.t_start, args.step)
     result = ipr_mod.ipr_run(system, target, ipr_cfg, optimizer)
     with open(args.out, "w") as fh:
         json.dump(_ipr_result_doc(ipr_cfg, result, system, args.gate), fh, indent=2)
@@ -376,7 +363,7 @@ def _load_pulse_file(path: str):
         return load_pulse(path)
     except OSError as exc:
         raise CliError(f"cannot read pulse JSON: {exc}") from exc
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError) as exc:
         raise CliError(f"malformed pulse JSON: {exc}") from exc
 
 
@@ -460,10 +447,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (PropagationError, OptimizerAbort) as exc:

@@ -77,7 +77,7 @@ class IPRConfig:
     guess_scale: float = 0.01
     max_restarts: int = 5
     max_attempts: int = 200  # safety budget; the flowchart alone need not terminate
-    error_threshold: float = 1e-3
+    error_threshold: float = ObjectiveConfig.error_threshold
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -185,6 +185,12 @@ class StandardOptimizer:
     cfg: ObjectiveConfig
     max_iter: int | None = None
     steps_per_ns: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("max_iter", "steps_per_ns"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
     def certificate(self, sys: QuditSystem, params: PulseParams,
                     target: GateSpec, claim: int) -> list[float]:

@@ -98,6 +98,9 @@ def transmon_system(
     When ``omega_rot_ghz`` is None the rotating-frame frequency defaults to
     ``carrier_midpoint`` of the converted frequencies.
     """
+    for key, values in (("omega_ghz", omega_ghz), ("xi_ghz", xi_ghz)):
+        if len(values) < num_qudits:
+            raise ValueError(f"{key} has {len(values)} entries for {num_qudits} qudits")
     omega = tuple(TWO_PI * w for w in omega_ghz[:num_qudits])
     xi = tuple(TWO_PI * x for x in xi_ghz[:num_qudits])
     coupling = TWO_PI * coupling_ghz if num_qudits == 2 else 0.0

@@ -1,10 +1,11 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quditpulse.cli import main
+from quditpulse.cli import build_system, load_config, main
 from quditpulse.dynamics import INTEGRATOR
 from quditpulse.model import transmon_system
 from quditpulse.pulse import (
@@ -322,6 +323,18 @@ class TestExportLabCommand:
         assert code == 1
 
 
+def test_readme_config_block_states_the_defaults(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1]
+    path = tmp_path / "readme.json"
+    path.write_text(section.split("```json\n", 1)[1].split("```", 1)[0])
+    documented, default = load_config(str(path)), load_config(None)
+    for gate_name in ("X_d", "CNOT"):
+        assert build_system(documented, gate_name, 3) == build_system(default, gate_name, 3)
+    for name in ("objective", "max_iter", "guess_scale", "steps_per_ns", "seed"):
+        assert getattr(documented, name) == getattr(default, name)
+
+
 def _error_line(capsys) -> bool:
     err = capsys.readouterr().err
     return any(line.startswith("error:") for line in err.splitlines())
@@ -340,6 +353,8 @@ class TestBadInput:
         {"integrator": {"steps_per_ns": "20"}},
         {"objective": {"error_threshold": "x"}},
         {"optimizer": {"guess_scale": None}},
+        {"system": {"omega_ghz": []}},
+        {"system": {"xi_ghz": []}},
     ])
     def test_config_value_of_wrong_type(self, tmp_path, capsys, doc):
         path = tmp_path / "cfg.json"
@@ -349,7 +364,12 @@ class TestBadInput:
             "optimize", "--config", str(path), "--gate", "X_d", "--d", "2",
             "--T", "30", "--out", str(out),
         ])
-        assert code == 1 and _error_line(capsys)
+        (key, value), = doc.items()
+        if isinstance(value, dict):
+            (key, _), = value.items()
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert code == 1 and errors and key in errors[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [
@@ -362,6 +382,10 @@ class TestBadInput:
         {"system": {"guard": -1}},
         {"objective": {"error_threshold": 0}},
         {"objective": {"error_threshold": 1}},
+        {"objective": {"w_guard": -0.1}},
+        {"objective": {"w_l2": -1}},
+        {"optimizer": {"max_iter": 0}},
+        {"integrator": {"steps_per_ns": 0}},
     ])
     def test_config_value_out_of_range(self, tmp_path, capsys, command, doc):
         self._assert_rejected(tmp_path, capsys, command, doc)

@@ -501,6 +501,11 @@ class TestCertificate:
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         return sys, default_params(sys, 20.0), gate("X_d", 2)
 
+    @pytest.mark.parametrize("fields", [{"max_iter": 0}, {"steps_per_ns": 0}])
+    def test_rejects_a_budget_or_resolution_below_one(self, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            standard_optimizer(**fields)
+
     def test_resolutions(self):
         assert search_resolution(20) == 5
         assert search_resolution(40) == 10

@@ -204,6 +204,13 @@ class TestQuditSystem:
         with pytest.raises(ValueError):
             transmon_system(num_qudits=1, d=1)
 
+    @pytest.mark.parametrize("key", ["omega_ghz", "xi_ghz"])
+    def test_short_frequency_list_names_the_key(self, key):
+        with pytest.raises(ValueError, match=key):
+            transmon_system(num_qudits=1, d=2, **{key: []})
+        with pytest.raises(ValueError, match=key):
+            transmon_system(num_qudits=2, d=2, **{key: (5.0,)})
+
     def test_gate_spec_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             GateSpec("bad", 2, np.array([[1, 0], [0, 2]]))
