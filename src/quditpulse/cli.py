@@ -135,10 +135,24 @@ def _ipr_config(
     )
 
 
+def _write_json(path, doc) -> None:
+    """Write doc as indented JSON; NaN or infinity raise ValueError before the file opens."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _optimizer(cfg: RunConfig, mock_threshold: float | None, units: int = 1):
     """The standard optimizer, or the mock succeeding from mock_threshold * units."""
     # Built for the mock too, so that a config the mock ignores is still checked.
-    standard = ipr_mod.standard_optimizer(cfg.objective, cfg.max_iter, cfg.steps_per_ns)
+    standard = ipr_mod.StandardOptimizer(cfg.objective, cfg.max_iter, cfg.steps_per_ns)
     if mock_threshold is not None:
         return ipr_mod.threshold_mock_optimizer(mock_threshold * units)
     return standard
@@ -150,25 +164,17 @@ def cmd_optimize(args) -> int:
     target = gate(args.gate, args.d)
     params = default_params(system, args.T)
     params = params.with_alpha(random_guess(params, cfg.guess_scale, cfg.seed))
-
-    log_rows: list[tuple] = []
-
-    def log(iteration, value, infid, guard, step):
-        log_rows.append((iteration, value, infid, guard, step))
-
     result = minimize(
         system, params, target, cfg.objective,
-        max_iter=cfg.max_iter, steps_per_ns=cfg.steps_per_ns, on_iteration=log,
+        max_iter=cfg.max_iter, steps_per_ns=cfg.steps_per_ns,
     )
     save_pulse(
         args.out, system, params.with_alpha(result.alpha_final), result.fidelity,
         {"gate": args.gate, "d": args.d, "seed": cfg.seed},
     )
-    log_path = args.log or str(args.out) + ".iters.csv"
-    with open(log_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "objective", "infidelity", "guard_penalty", "step_size"])
-        writer.writerows(log_rows)
+    _write_csv(args.log or str(args.out) + ".iters.csv",
+               ["iteration", "objective", "infidelity", "guard_penalty", "step_size"],
+               result.history)
     print(
         f"gate={args.gate} d={args.d} T={args.T} fidelity={result.fidelity:.6f} "
         f"iterations={result.iterations} converged={result.converged} "
@@ -178,6 +184,7 @@ def cmd_optimize(args) -> int:
 
 
 def _ipr_result_doc(
+    run_cfg: RunConfig,
     cfg: ipr_mod.IPRConfig,
     result: ipr_mod.IPRResult,
     system: QuditSystem,
@@ -185,6 +192,13 @@ def _ipr_result_doc(
 ) -> dict:
     doc = {
         "config": asdict(cfg),
+        "run_config": {  # a --config document that repeats this run
+            "system": run_cfg.system,
+            "objective": asdict(run_cfg.objective),
+            "optimizer": {"max_iter": run_cfg.max_iter, "guess_scale": run_cfg.guess_scale},
+            "integrator": {"steps_per_ns": run_cfg.steps_per_ns},
+            "seed": run_cfg.seed,
+        },
         "records": [asdict(r) for r in result.records],
         "best_pulse": None,
         "summary": {
@@ -209,9 +223,7 @@ def cmd_ipr(args) -> int:
     optimizer = _optimizer(cfg, args.mock_threshold)
     ipr_cfg = _ipr_config(cfg, args.t_start, args.step)
     result = ipr_mod.ipr_run(system, target, ipr_cfg, optimizer)
-    with open(args.out, "w") as fh:
-        json.dump(_ipr_result_doc(ipr_cfg, result, system, args.gate), fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, _ipr_result_doc(cfg, ipr_cfg, result, system, args.gate))
     if result.succeeded:
         print(f"gate={args.gate} d={args.d} T_best={result.T_best} "
               f"fidelity={result.fidelity_best:.6f} attempts={len(result.records)}")
@@ -267,10 +279,7 @@ def cmd_sweep(args) -> int:
             summary.t_mean if summary.t_mean is not None else "",
             summary.t_std if summary.t_std is not None else "",
         ])
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_HEADER)
-        writer.writerows(rows)
+    _write_csv(args.out, SWEEP_HEADER, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -286,6 +295,8 @@ def cmd_fit(args) -> int:
                 best = data.setdefault(row["gate"], {})
                 d = int(row["d"])
                 t = float(row["T_best"])
+                if not math.isfinite(t):
+                    raise ValueError(f"T_best {row['T_best']!r} is not finite")
                 best[d] = min(best.get(d, np.inf), t)
     except OSError as exc:
         raise CliError(f"cannot read durations CSV: {exc}") from exc
@@ -312,9 +323,7 @@ def cmd_fit(args) -> int:
                     str(d): analysis.evaluate_fit(res, d) for d in FIT_EVAL_RANGE
                 },
             }
-    with open(args.out, "w") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
+    _write_json(args.out, out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -322,38 +331,29 @@ def cmd_fit(args) -> int:
 def cmd_simulate(args) -> int:
     system, params, _, _ = _load_pulse_file(args.pulse)
     traj = propagate(system, params, steps_per_ns=args.steps_per_ns)
-    n_states = traj.states.shape[1]
-    n_cols = traj.states.shape[2]
+    n_times, n_states, n_cols = traj.states.shape
     header = ["time_ns"]
     header += [f"pop_c{c}_s{s}" for c in range(n_cols) for s in range(n_states)]
     header += [f"guard_c{c}" for c in range(n_cols)]
     header += ["guard_avg"]
-    guard_avg = guard_populations(traj)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(traj.times):
-            pops = np.abs(traj.states[i]) ** 2
-            row = [repr(float(t))]
-            row += [repr(float(pops[s, c])) for c in range(n_cols) for s in range(n_states)]
-            row += [repr(float(traj.guard_pop[i, c])) for c in range(n_cols)]
-            row += [repr(float(guard_avg[i]))]
-            writer.writerow(row)
+    pops = (np.abs(traj.states) ** 2).transpose(0, 2, 1).reshape(n_times, -1)
+    table = np.column_stack([traj.times, pops, traj.guard_pop, guard_populations(traj)])
+    _write_csv(args.out, header, [[repr(float(x)) for x in row] for row in table])
     print(f"wrote {args.out} ({len(traj.times)} samples)")
     return EXIT_OK
 
 
 def cmd_export_lab(args) -> int:
     system, params, _, _ = _load_pulse_file(args.pulse)
-    n_samples = int(round(params.T * args.sample_rate)) + 1
+    samples = params.T * args.sample_rate
+    if not math.isfinite(samples):
+        raise CliError(f"--sample-rate {args.sample_rate} gives a non-finite sample count")
+    n_samples = int(round(samples)) + 1
     times = np.linspace(0.0, params.T, n_samples)
     amplitudes = pulse_mod.lab_frame_control(params, system.omega_rot, times)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_ns"] + [f"f_{k}" for k in range(params.num_controls)])
-        for i, t in enumerate(times):
-            writer.writerow([repr(float(t))] +
-                            [repr(float(amplitudes[k, i])) for k in range(params.num_controls)])
+    table = np.column_stack([times, amplitudes.T])
+    header = ["time_ns"] + [f"f_{k}" for k in range(params.num_controls)]
+    _write_csv(args.out, header, [[repr(float(x)) for x in row] for row in table])
     print(f"wrote {args.out} ({n_samples} samples)")
     return EXIT_OK
 

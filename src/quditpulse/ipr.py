@@ -19,7 +19,7 @@ threshold.  That is not the test ``minimize`` stops on, which compares the
 search-grid infidelity: the real optimizer's ``fidelity`` is the certificate's.
 
 The optimizer is injected as a callable so the state machine can be driven
-by mocks in tests.  The real one, ``standard_optimizer``, searches on a
+by mocks in tests.  The real one, ``StandardOptimizer``, searches on a
 coarse grid and claims on the fine one: ``minimize`` runs at
 1/``SEARCH_DIVISOR`` of the claim resolution (the ``steps_per_ns`` it is
 given, else ``dynamics.default_steps_per_ns``), and its result counts only
@@ -182,7 +182,7 @@ class StandardOptimizer:
     process.  See the module docstring for the search and the certificate.
     """
 
-    cfg: ObjectiveConfig
+    cfg: ObjectiveConfig = ObjectiveConfig()
     max_iter: int | None = None
     steps_per_ns: int | None = None
 
@@ -217,19 +217,13 @@ class StandardOptimizer:
         if reason == "converged" and not meets_threshold(fidelity, self.cfg.error_threshold):
             reason = "uncertified"
         return replace(result, fidelity=fidelity, reason=reason,
-                       objective_history=[v for run in runs for v in run.objective_history],
+                       history=[row for run in runs for row in run.history],
                        iterations=sum(run.iterations for run in runs),
                        n_forward=sum(run.n_forward for run in runs),
                        n_gradient=sum(run.n_gradient for run in runs))
 
 
-def standard_optimizer(
-    cfg: ObjectiveConfig | None = None,
-    max_iter: int | None = None,
-    steps_per_ns: int | None = None,
-) -> Optimizer:
-    """The real fixed-duration optimizer bound to its configuration."""
-    return StandardOptimizer(cfg or ObjectiveConfig(), max_iter, steps_per_ns)
+standard_optimizer = StandardOptimizer  # the name callers and bench/ import
 
 
 def threshold_mock_optimizer(t_threshold: float) -> Optimizer:
@@ -247,7 +241,6 @@ def threshold_mock_optimizer(t_threshold: float) -> Optimizer:
         return OptResult(
             alpha_final=params.alpha.copy(),
             fidelity=fid,
-            objective_history=[1.0 - fid],
             iterations=1,
             reason="converged" if params.T >= t_threshold else "max_iter",
         )
@@ -427,7 +420,7 @@ def multi_run(
         raise ValueError("n_runs must be >= 1")
     workers = _worker_count(n_runs)
     if optimizer is None:
-        optimizer = standard_optimizer()
+        optimizer = StandardOptimizer()
 
     pilot = None
     if t_ref is None:

@@ -98,6 +98,8 @@ def transmon_system(
     When ``omega_rot_ghz`` is None the rotating-frame frequency defaults to
     ``carrier_midpoint`` of the converted frequencies.
     """
+    if d < 2:  # checked before carrier_midpoint, which needs a carrier
+        raise ValueError(f"need at least 2 essential levels, got d={d}")
     for key, values in (("omega_ghz", omega_ghz), ("xi_ghz", xi_ghz)):
         if len(values) < num_qudits:
             raise ValueError(f"{key} has {len(values)} entries for {num_qudits} qudits")

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -60,7 +59,9 @@ class OptResult:
 
     alpha_final: np.ndarray
     fidelity: float
-    objective_history: list[float] = field(default_factory=list)
+    # One (iteration, objective, infidelity, guard_penalty, step_size) row per
+    # accepted step; the start point has none.
+    history: list[tuple] = field(default_factory=list)
     iterations: int = 0
     reason: str = ""  # converged | max_iter | stalled | kkt | no_descent
     n_forward: int = 0
@@ -100,7 +101,6 @@ def minimize(
     cfg: ObjectiveConfig,
     max_iter: int | None = None,
     steps_per_ns: int | None = None,
-    on_iteration: Callable[[int, float, float, float, float], None] | None = None,
 ) -> OptResult:
     """Minimize the pulse objective over alpha within the amplitude box.
 
@@ -110,8 +110,6 @@ def minimize(
     the projected gradient vanishes (``kkt``); before a step, when the
     iteration budget is exhausted (``max_iter``) or no line search passes
     the Armijo test within MAX_LINE_SEARCH trial steps (``no_descent``).
-    ``on_iteration`` receives (iteration, objective, infidelity, guard
-    penalty, step size).
     """
     if max_iter is None:
         max_iter = default_max_iter(sys)
@@ -143,7 +141,7 @@ def minimize(
     tried = x  # the point ``cache`` holds
     value, infid = cache.total, cache.infidelity
     grad = evaluate_grad(cache)
-    history = [value]
+    history = []
     # "max_iter" until another rule fires: the reason if the budget runs out.
     reason = "converged" if infid < cfg.error_threshold else "max_iter"
     iterations = 0
@@ -186,11 +184,9 @@ def minimize(
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             memory.append((s, y, 1.0 / sy))
         x, grad, previous = candidate, new_grad, value
-        value, infid, guard = cache.total, cache.infidelity, cache.guard
+        value, infid = cache.total, cache.infidelity
         iterations += 1
-        history.append(value)
-        if on_iteration is not None:
-            on_iteration(iterations, value, infid, guard, step)
+        history.append((iterations, value, infid, cache.guard, step))
         if infid < cfg.error_threshold:
             reason = "converged"
         elif previous - value <= FTOL * max(abs(previous), abs(value), 1.0):
@@ -201,7 +197,7 @@ def minimize(
     return OptResult(
         alpha_final=x,
         fidelity=1.0 - infid,
-        objective_history=history,
+        history=history,
         iterations=iterations,
         reason=reason,
         n_forward=n_forward,

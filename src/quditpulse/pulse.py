@@ -34,7 +34,6 @@ class PulseParams:
     """A concrete control pulse: duration, carriers, and spline coefficients."""
 
     T: float
-    num_controls: int
     carriers: tuple[tuple[float, ...], ...]
     N_b: int
     alpha: np.ndarray
@@ -45,8 +44,8 @@ class PulseParams:
             raise ValueError(f"duration must be positive, got {self.T}")
         if self.N_b < 3:
             raise ValueError(f"need at least 3 splines, got {self.N_b}")
-        if len(self.carriers) != self.num_controls:
-            raise ValueError("one carrier list per control required")
+        if not (self.carriers and self.carriers[0]):
+            raise ValueError("need at least one control, each with at least one carrier")
         nf = len(self.carriers[0])
         if any(len(c) != nf for c in self.carriers):
             raise ValueError("all controls must carry the same number of carriers")
@@ -61,6 +60,10 @@ class PulseParams:
         if np.any(alpha[self.boundary_mask()] != 0.0):
             raise ValueError("boundary spline coefficients must be exactly zero")
         object.__setattr__(self, "alpha", alpha)
+
+    @property
+    def num_controls(self) -> int:
+        return len(self.carriers)
 
     @property
     def num_carriers(self) -> int:
@@ -189,17 +192,12 @@ def eval_controls(params: PulseParams, t) -> tuple[np.ndarray, np.ndarray]:
         grid, scalar = t, False
     else:
         grid, scalar = sample_grid(params.N_b, params.T, params.carriers, t), np.ndim(t) == 0
-    coeff = params.alpha_complex()  # (K, N_f, N_b)
-    p = np.empty((params.num_controls, grid.t.size))
-    q = np.empty_like(p)
-    for k in range(params.num_controls):
-        # einsum, not a BLAS product: at these shapes OpenBLAS runs threaded
-        # and its workers then spin through the propagation that follows
-        # (about 1.8x CPU per wall second on two cores, no wall-time gain).
-        envelopes = np.einsum("fb,mb->fm", coeff[k], grid.basis)  # (N_f, M)
-        total = np.sum(envelopes * grid.phases[k], axis=0)
-        p[k] = total.real
-        q[k] = total.imag
+    # einsum, not a BLAS product: at these shapes OpenBLAS runs threaded
+    # and its workers then spin through the propagation that follows
+    # (about 1.8x CPU per wall second on two cores, no wall-time gain).
+    envelopes = np.einsum("kfb,mb->kfm", params.alpha_complex(), grid.basis)  # (K, N_f, M)
+    total = np.sum(envelopes * grid.phases, axis=1)
+    p, q = total.real, total.imag
     if scalar:
         return p[:, 0], q[:, 0]
     return p, q
@@ -228,8 +226,8 @@ def default_params(sys: QuditSystem, T: float) -> PulseParams:
     carriers = tuple(tuple(ctrl) for ctrl in rot)
     n_b = num_bsplines(T)
     n_f = len(carriers[0])
-    alpha = np.zeros(2 * sys.num_qudits * n_f * n_b)
-    return PulseParams(T, sys.num_qudits, carriers, n_b, alpha, alpha_bound(n_f))
+    alpha = np.zeros(2 * len(carriers) * n_f * n_b)
+    return PulseParams(T, carriers, n_b, alpha, alpha_bound(n_f))
 
 
 def random_guess(params: PulseParams, scale: float, rng) -> np.ndarray:
@@ -284,19 +282,11 @@ def refit(params: PulseParams, T_new: float) -> PulseParams:
             f"rank-deficient refit ({rank} < {n_b_new - 2}); grid too coarse"
         )
 
-    re_part = solution[:, : k_ctrl * n_f].T.reshape(k_ctrl, n_f, n_b_new - 2)
-    im_part = solution[:, k_ctrl * n_f :].T.reshape(k_ctrl, n_f, n_b_new - 2)
+    # Columns hold the real parts of all (k, j) channels, then the imaginary ones.
+    parts = solution.T.reshape(2, k_ctrl, n_f, n_b_new - 2)
     alpha = np.zeros((k_ctrl, n_f, n_b_new, 2))
-    alpha[:, :, 1:-1, 0] = np.clip(re_part, -params.alpha_max, params.alpha_max)
-    alpha[:, :, 1:-1, 1] = np.clip(im_part, -params.alpha_max, params.alpha_max)
-    return PulseParams(
-        T_new,
-        params.num_controls,
-        params.carriers,
-        n_b_new,
-        alpha.reshape(-1),
-        params.alpha_max,
-    )
+    alpha[:, :, 1:-1] = np.moveaxis(np.clip(parts, -params.alpha_max, params.alpha_max), 0, -1)
+    return replace(params, T=T_new, N_b=n_b_new, alpha=alpha.reshape(-1))
 
 
 def pulse_doc(sys: QuditSystem, params: PulseParams, fidelity: float,
@@ -346,6 +336,8 @@ def pulse_from_doc(doc: dict) -> tuple[QuditSystem, PulseParams, float, dict]:
     reals += [x for values in lists[:3] + lists[-1] for x in values]
     if not (_all_of(counts, int) and _all_of(reals, (int, float)) and all(map(math.isfinite, reals))):
         raise ValueError("pulse document values must be finite numbers, and counts integers")
+    if len(doc["carriers_rot"]) != s["num_qudits"]:
+        raise ValueError("carriers_rot must hold one carrier list per qudit")
     sys = QuditSystem(
         num_qudits=s["num_qudits"],
         d=s["d"],
@@ -357,7 +349,6 @@ def pulse_from_doc(doc: dict) -> tuple[QuditSystem, PulseParams, float, dict]:
     )
     params = PulseParams(
         T=doc["T_ns"],
-        num_controls=len(doc["carriers_rot"]),
         carriers=tuple(tuple(c) for c in doc["carriers_rot"]),
         N_b=doc["N_b"],
         alpha=np.asarray(doc["alpha"], dtype=float),

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quditpulse.cli import build_system, load_config, main
+from quditpulse.cli import _write_json, build_system, load_config, main
 from quditpulse.dynamics import INTEGRATOR
 from quditpulse.model import transmon_system
 from quditpulse.pulse import (
@@ -140,6 +140,24 @@ class TestIprCommand:
         assert doc["best_pulse"]["fidelity"] >= 0.999
         assert doc["best_pulse"]["metadata"]["integrator"] == INTEGRATOR
 
+    def test_run_config_repeats_the_run(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "system": {"guard": 1, "omega_ghz": [4.9]},
+            "objective": {"w_guard": 0.2, "w_l2": 0.001},
+            "optimizer": {"max_iter": 300, "guess_scale": 0.02},
+            "integrator": {"steps_per_ns": 24},
+            "seed": 7,
+        }))
+        argv = ["ipr", "--gate", "H_d", "--d", "2", "--t-start", "28", "--step", "4"]
+        first, again = tmp_path / "first.json", tmp_path / "again.json"
+        assert main(argv + ["--config", str(cfg), "--out", str(first)]) == 0
+        run_config = tmp_path / "run_config.json"
+        run_config.write_text(json.dumps(json.loads(first.read_text())["run_config"]))
+        assert load_config(str(run_config)) == load_config(str(cfg))
+        assert main(argv + ["--config", str(run_config), "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+
 
 class TestSweepCommand:
     def test_mock_sweep_rows_and_summary(self, tmp_path):
@@ -218,6 +236,25 @@ class TestFitCommand:
             str(tmp_path / "fit.json"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_duration_rejected(self, tmp_path, capsys, value):
+        src = tmp_path / "sweep.csv"
+        self._write_sweep_csv(src)
+        with open(src, "a", newline="") as fh:
+            csv.writer(fh).writerow(["X_d", 9, 0, 1, 200, value, "0.9991", "", ""])
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--in", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed durations CSV") and repr(value) in err
+        assert not out.exists()
+
+
+def test_write_json_rejects_nan_before_opening(tmp_path):
+    out = tmp_path / "doc.json"
+    with pytest.raises(ValueError):
+        _write_json(out, {"b": float("nan")})
+    assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -427,10 +464,26 @@ class TestBadInput:
         assert main(argv + ["--out", str(out)]) == 1 and _error_line(capsys)
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "export-lab"])
-    @pytest.mark.parametrize("mangle", ["root_not_object", "omega_number", "T_infinite"])
-    def test_malformed_pulse_document(self, tmp_path, capsys, command, mangle):
+    @pytest.mark.parametrize("argv, named", [
+        (["optimize", "--gate", "X_d", "--d", "1", "--T", "30"], "need at least 2 essential levels"),
+        (["export-lab", "--pulse", "PULSE", "--sample-rate", "1e308"], "--sample-rate"),
+    ])
+    def test_bad_argument_is_named(self, tmp_path, capsys, argv, named):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
+        pulse_path = tmp_path / "pulse.json"
+        save_pulse(pulse_path, sys, default_params(sys, 10.0), 1.0, {})
+        argv = [str(pulse_path) if a == "PULSE" else a for a in argv]
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "export-lab"])
+    @pytest.mark.parametrize("mangle", ["root_not_object", "omega_number", "T_infinite",
+                                        "extra_control", "missing_control", "no_controls"])
+    def test_malformed_pulse_document(self, tmp_path, capsys, command, mangle):
+        sys = transmon_system(num_qudits=2 if mangle == "missing_control" else 1, d=2, guard=2)
         pulse_path = tmp_path / "pulse.json"
         save_pulse(pulse_path, sys, default_params(sys, 10.0), 1.0, {})
         doc = json.loads(pulse_path.read_text())
@@ -438,6 +491,14 @@ class TestBadInput:
             doc = [1, 2]
         elif mangle == "omega_number":
             doc["system"]["omega"] = 5.0
+        elif mangle == "extra_control":  # a second control on one qudit
+            doc["carriers_rot"] *= 2
+            doc["alpha"] *= 2
+        elif mangle == "missing_control":  # one control for two qudits
+            doc["carriers_rot"] = doc["carriers_rot"][:1]
+            doc["alpha"] = doc["alpha"][:len(doc["alpha"]) // 2]
+        elif mangle == "no_controls":
+            doc["carriers_rot"], doc["alpha"] = [], []
         else:
             doc["T_ns"] = float("inf")
         pulse_path.write_text(json.dumps(doc))

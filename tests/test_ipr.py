@@ -42,7 +42,6 @@ def _fidelity_mock(fid_of_t):
         return OptResult(
             alpha_final=params.alpha.copy(),
             fidelity=fid,
-            objective_history=[1 - fid],
             iterations=1,
             reason="converged" if fid >= 0.999 else "max_iter",
         )
@@ -492,7 +491,7 @@ class _FakeSearch:
 def _converged(alpha0: float, size: int, n_forward: int, n_gradient: int) -> OptResult:
     alpha = np.zeros(size)
     alpha[TAG] = alpha0
-    return OptResult(alpha, 1.0, [0.0], n_gradient - 1, "converged", n_forward, n_gradient)
+    return OptResult(alpha, 1.0, [], n_gradient - 1, "converged", n_forward, n_gradient)
 
 
 class TestCertificate:
@@ -539,9 +538,9 @@ class TestCertificate:
     def test_warm_start_at_claim_resolution(self, monkeypatch, x2):
         sys, params, target = x2
         coarse = dataclasses.replace(_converged(0.01, params.alpha.size, 7, 3),
-                                     objective_history=[0.5, 0.3, 0.1])
+                                     history=[(1, 0.3, 0.2, 0.0, 1.0), (2, 0.1, 0.05, 0.0, 0.5)])
         fine = dataclasses.replace(_converged(0.02, params.alpha.size, 4, 2),
-                                   objective_history=[0.05, 0.01])
+                                   history=[(1, 0.01, 6e-4, 0.0, 1.0)])
         fake = _FakeSearch(monkeypatch, [coarse, fine], {
             (0.01, 20): 2e-3,  # converged on the coarse grid, misses on the claim grid
             (0.02, 20): 6e-4,
@@ -553,7 +552,7 @@ class TestCertificate:
         assert res_warm == 20 and np.array_equal(alpha_warm, coarse.alpha_final)
         assert fake.propagations == [20, 20, 40]
         assert result.n_forward == 11 and result.n_gradient == 5
-        assert result.objective_history == coarse.objective_history + fine.objective_history
+        assert result.history == coarse.history + fine.history
         assert result.iterations == coarse.iterations + fine.iterations == 3
         assert np.array_equal(result.alpha_final, fine.alpha_final)
         assert result.reason == "converged"

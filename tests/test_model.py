@@ -201,7 +201,7 @@ class TestQuditSystem:
     def test_validation(self):
         with pytest.raises(ValueError):
             QuditSystem(3, 2, 2, (1.0,), (1.0,), 0.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least 2 essential levels"):
             transmon_system(num_qudits=1, d=1)
 
     @pytest.mark.parametrize("key", ["omega_ghz", "xi_ghz"])

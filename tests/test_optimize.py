@@ -5,7 +5,7 @@ import pytest
 
 from quditpulse import optimize as optimize_mod
 from quditpulse.model import GateSpec, gate, transmon_system
-from quditpulse.objective import ObjectiveConfig
+from quditpulse.objective import ObjectiveConfig, forward
 from quditpulse.optimize import (
     MAX_LINE_SEARCH,
     OptimizerAbort,
@@ -47,7 +47,7 @@ class TestMinimize:
         assert res.iterations == 1
         assert res.reason == "max_iter"
         assert not res.converged
-        assert len(res.objective_history) == 2
+        assert len(res.history) == 1
 
     def test_bounds_respected_exactly(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
@@ -60,15 +60,16 @@ class TestMinimize:
         sys = transmon_system(num_qudits=1, d=3, guard=2)
         params = _seeded(sys, 25.0, 0.1, 3)
         res = minimize(sys, params, gate("H_d", 3), ObjectiveConfig(), max_iter=40)
-        hist = np.asarray(res.objective_history)
+        start = forward(sys, params, gate("H_d", 3), ObjectiveConfig()).total
+        hist = np.asarray([start] + [row[1] for row in res.history])
         assert np.all(np.diff(hist) <= 0.0)
 
     def test_best_not_worse_than_initial(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
         params = _seeded(sys, 20.0, 0.3, 4)
         res = minimize(sys, params, gate("X_d", 3), ObjectiveConfig(), max_iter=25)
-        hist = res.objective_history
-        assert hist[-1] <= hist[0]
+        start = forward(sys, params, gate("X_d", 3), ObjectiveConfig()).total
+        assert res.history and res.history[-1][1] <= start
 
     def test_deterministic(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
@@ -77,16 +78,12 @@ class TestMinimize:
         r1 = minimize(sys, params, target, ObjectiveConfig(), max_iter=30)
         r2 = minimize(sys, params, target, ObjectiveConfig(), max_iter=30)
         assert np.array_equal(r1.alpha_final, r2.alpha_final)
-        assert r1.objective_history == r2.objective_history
+        assert r1.history == r2.history
 
-    def test_callback_rows(self):
+    def test_history_rows(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         params = _seeded(sys, 20.0, 0.1, 6)
-        rows = []
-        minimize(
-            sys, params, gate("X_d", 2), ObjectiveConfig(), max_iter=10,
-            on_iteration=lambda *row: rows.append(row),
-        )
+        rows = minimize(sys, params, gate("X_d", 2), ObjectiveConfig(), max_iter=10).history
         assert rows
         assert all(len(r) == 5 for r in rows)
         assert [r[0] for r in rows] == list(range(1, len(rows) + 1))
@@ -149,7 +146,11 @@ class TestMinimize:
         # Every forward after the start point's is a line-search evaluation.
         assert backwards[0] is forwards[0]
         assert len(forwards) >= 1 + res.iterations
-        assert res.objective_history == [b.total for b in backwards]
+        start = forward(sys, params, gate("X_d", 2), ObjectiveConfig())
+        assert backwards[0].total == start.total
+        assert [row[1:4] for row in res.history] == [
+            (b.total, b.infidelity, b.guard) for b in backwards[1:]
+        ]
 
     def test_failed_first_search_not_repeated(self, monkeypatch):
         # With empty L-BFGS memory the first direction already is -grad, so a
@@ -221,7 +222,7 @@ class TestMinimize:
             assert every.reason == "no_descent"
             assert every.n_forward == 1 + MAX_LINE_SEARCH
         assert np.array_equal(skipped.alpha_final, every.alpha_final)
-        assert skipped.objective_history == every.objective_history
+        assert skipped.history == every.history
         assert (skipped.reason, skipped.iterations) == (every.reason, every.iterations)
         assert skipped.n_gradient == every.n_gradient
         assert skipped.n_forward == len(evaluated) == len(set(every_evaluated))
@@ -250,7 +251,7 @@ class TestMinimize:
         assert res.iterations == 1
         assert not res.converged
         assert (res.n_forward, res.n_gradient) == (2, 2)
-        assert res.objective_history == [1.0 - 1e-12, 1.0 - 2e-12]
+        assert [row[1] for row in res.history] == [1.0 - 2e-12]
 
     def test_default_budgets(self):
         assert default_max_iter(transmon_system(num_qudits=1, d=2)) == 500

@@ -132,7 +132,7 @@ class TestEvalControls:
         n_b = 7
         alpha = np.zeros((1, 1, n_b, 2))
         alpha[0, 0, 1:-1, 0] = amp
-        params = PulseParams(50.0, 1, ((0.0,),), n_b, alpha.reshape(-1), 0.02)
+        params = PulseParams(50.0, ((0.0,),), n_b, alpha.reshape(-1), 0.02)
         spacing = 50.0 / (n_b - 1)
         t = np.linspace(1.5 * spacing, 50.0 - 1.5 * spacing, 60)
         p, q = eval_controls(params, t)
@@ -297,6 +297,15 @@ class TestPulseParamsValidation:
         bad[0] = 0.5 * params.alpha_max
         with pytest.raises(ValueError):
             params.with_alpha(bad)
+
+    @pytest.mark.parametrize("carriers", [(), ((),), ((),())])
+    def test_no_control_or_no_carrier(self, carriers):
+        with pytest.raises(ValueError, match="at least one"):
+            PulseParams(30.0, carriers, 5, np.zeros(0), 0.02)
+
+    def test_one_control_per_carrier_list(self):
+        params = default_params(transmon_system(num_qudits=2, d=3, guard=2), 30.0)
+        assert params.num_controls == len(params.carriers) == 2
 
 
 class TestPulseJson:
