@@ -29,7 +29,7 @@ from .model import (
 )
 from .objective import ObjectiveConfig
 from .optimize import OptimizerAbort, minimize
-from .pulse import default_params, load_pulse, random_guess, save_pulse
+from .pulse import default_params, load_pulse, random_guess, save_pulse, write_json
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -135,13 +135,6 @@ def _ipr_config(
     )
 
 
-def _write_json(path, doc) -> None:
-    """Write doc as indented JSON; NaN or infinity raise ValueError before the file opens."""
-    text = json.dumps(doc, indent=2, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
 def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -223,7 +216,7 @@ def cmd_ipr(args) -> int:
     optimizer = _optimizer(cfg, args.mock_threshold)
     ipr_cfg = _ipr_config(cfg, args.t_start, args.step)
     result = ipr_mod.ipr_run(system, target, ipr_cfg, optimizer)
-    _write_json(args.out, _ipr_result_doc(cfg, ipr_cfg, result, system, args.gate))
+    write_json(args.out, _ipr_result_doc(cfg, ipr_cfg, result, system, args.gate))
     if result.succeeded:
         print(f"gate={args.gate} d={args.d} T_best={result.T_best} "
               f"fidelity={result.fidelity_best:.6f} attempts={len(result.records)}")
@@ -323,7 +316,7 @@ def cmd_fit(args) -> int:
                     str(d): analysis.evaluate_fit(res, d) for d in FIT_EVAL_RANGE
                 },
             }
-    _write_json(args.out, out)
+    write_json(args.out, out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

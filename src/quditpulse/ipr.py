@@ -1,18 +1,21 @@
 """Incremental pulse re-seeding: searching for the shortest viable duration.
 
 Each fixed-duration optimization seeds the next one with a refitted
-(truncated or extended) copy of its pulse instead of a fresh random guess:
+(truncated or extended) copy of its pulse instead of a fresh random guess.
+Durations and steps are whole nanoseconds: the start duration and step are
+rounded to the nearest 1 ns, and no duration goes below 1 ns.
 
 * success at T: remember it as the best duration, step down, and re-seed
   with the truncated pulse;
 * failure after some success: halve the step and work downwards from the
-  best duration again, stopping once the step would drop below the
-  granularity;
+  best duration again, stopping once the step would drop below 1 ns;
 * failure before any success with improving fidelity: extend the duration
   and re-seed with the stretched pulse;
 * failure before any success with decreasing fidelity: restart from the
-  best-fidelity duration with a fresh random guess (bounded number of
-  restarts).
+  best-fidelity duration with a fresh random guess, at most ``MAX_RESTARTS``
+  (5) times.
+
+A search ends after at most ``MAX_ATTEMPTS`` (200) attempts.
 
 An attempt succeeds when ``1 - fidelity`` lies strictly below the error
 threshold.  That is not the test ``minimize`` stops on, which compares the
@@ -64,6 +67,11 @@ START_SAMPLE_LOW, START_SAMPLE_HIGH = 0.8, 1.2
 # the 1e-3 threshold; the certificate catches any pulse where it is not.
 SEARCH_DIVISOR = 4
 
+# Restarts of one search from a fresh random guess.
+MAX_RESTARTS = 5
+# Attempts of one search: a safety budget, as the flowchart alone need not terminate.
+MAX_ATTEMPTS = 200
+
 Optimizer = Callable[[QuditSystem, PulseParams, GateSpec], OptResult]
 
 
@@ -73,24 +81,17 @@ class IPRConfig:
 
     T_start: float
     step: float | None = None  # default: power of two nearest 0.1*T_start
-    granularity: float = 1.0
     guess_scale: float = 0.01
-    max_restarts: int = 5
-    max_attempts: int = 200  # safety budget; the flowchart alone need not terminate
     error_threshold: float = ObjectiveConfig.error_threshold
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.T_start) and self.T_start > 0):
             raise ValueError("T_start must be a finite number > 0")
-        if not (math.isfinite(self.granularity) and self.granularity > 0):
-            raise ValueError("granularity must be a finite number > 0")
-        if self.step is not None and not (math.isfinite(self.step) and self.step >= self.granularity):
-            raise ValueError("step must be finite and at least the granularity")
+        if self.step is not None and not (math.isfinite(self.step) and self.step >= 1.0):
+            raise ValueError("step must be finite and at least 1 ns")
         if not 0.0 < self.error_threshold < 1.0:
             raise ValueError("error_threshold must lie in (0, 1)")
-        if self.max_restarts < 0 or self.max_attempts < 1:
-            raise ValueError("invalid restart/attempt budget")
 
 
 @dataclass(frozen=True)
@@ -123,38 +124,30 @@ class IPRResult:
         return self.T_best is not None
 
 
-def nearest_power_of_two_step(T_start: float, granularity: float = 1.0) -> float:
-    """Default duration step: the power of two nearest to 0.1*T_start."""
+def nearest_power_of_two_step(T_start: float) -> float:
+    """Default duration step: the power of two nearest to 0.1*T_start, at least 1 ns."""
     x = 0.1 * T_start
     if x <= 1.0:
-        step = 1.0
-    else:
-        lo = 2.0 ** math.floor(math.log2(x))
-        hi = 2.0 * lo
-        step = hi if (x - lo) >= (hi - x) else lo
-    return max(step, granularity)
+        return 1.0
+    lo = 2.0 ** math.floor(math.log2(x))
+    hi = 2.0 * lo
+    return hi if (x - lo) >= (hi - x) else lo
 
 
-def _snap(x: float, granularity: float) -> float:
-    return math.floor(x / granularity + 0.5) * granularity
+def _snap(x: float) -> float:
+    """x rounded to the nearest whole ns, halves upwards."""
+    return float(math.floor(x + 0.5))
 
 
-def _halve_step(step: float, granularity: float) -> float | None:
-    units = math.floor(step / (2.0 * granularity) + 1e-9)
-    return units * granularity if units >= 1 else None
-
-
-def _next_lower(t_best: float, step: float, granularity: float):
+def _next_lower(t_best: float, step: float):
     """Duration/step for the next attempt below t_best, or None to stop.
 
-    Keeps durations at or above the granularity by halving the step as
-    needed.
+    Keeps durations at or above 1 ns by halving the step as needed.
     """
-    while t_best - step < granularity - 1e-9:
-        halved = _halve_step(step, granularity)
-        if halved is None:
+    while t_best - step < 1.0:
+        step //= 2
+        if not step:
             return None
-        step = halved
     return t_best - step, step
 
 
@@ -255,12 +248,8 @@ def ipr_run(
     optimizer: Optimizer,
 ) -> IPRResult:
     """Run the incremental re-seeding search for one gate."""
-    granularity = cfg.granularity
-    step = cfg.step if cfg.step is not None else nearest_power_of_two_step(
-        cfg.T_start, granularity
-    )
-    step = _snap(step, granularity)
-    t_current = max(_snap(cfg.T_start, granularity), granularity)
+    step = _snap(cfg.step if cfg.step is not None else nearest_power_of_two_step(cfg.T_start))
+    t_current = max(_snap(cfg.T_start), 1.0)
     rng = np.random.default_rng(cfg.seed)
 
     def fresh_guess(T: float) -> PulseParams:
@@ -278,7 +267,7 @@ def ipr_run(
     best_failed_t = t_current
     restarts = 0
 
-    while len(records) < cfg.max_attempts:
+    while len(records) < MAX_ATTEMPTS:
         result = optimizer(sys, params, target)
         fidelity = result.fidelity
         success = meets_threshold(fidelity, cfg.error_threshold)
@@ -295,10 +284,10 @@ def ipr_run(
                 best = records[-1]
                 best_params = params.with_alpha(result.alpha_final)
             else:
-                step = _halve_step(step, granularity)
-                if step is None:
+                step //= 2
+                if not step:
                     break
-            nxt = _next_lower(best.T, step, granularity)
+            nxt = _next_lower(best.T, step)
             if nxt is None:
                 break
             t_current, step = nxt
@@ -310,7 +299,7 @@ def ipr_run(
             t_current = t_current + step
             params = refit(params.with_alpha(result.alpha_final), t_current)
             seed_kind = "extended"
-        elif restarts < cfg.max_restarts:
+        elif restarts < MAX_RESTARTS:
             restarts += 1
             t_current = best_failed_t
             params = fresh_guess(t_current)
@@ -432,7 +421,7 @@ def multi_run(
     for child in children:
         rng = np.random.default_rng(child)
         t_start = rng.uniform(START_SAMPLE_LOW * t_ref, START_SAMPLE_HIGH * t_ref)
-        t_start = max(_snap(t_start, base_cfg.granularity), base_cfg.granularity)
+        t_start = max(_snap(t_start), 1.0)
         configs.append(
             replace(
                 base_cfg,

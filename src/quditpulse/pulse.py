@@ -357,12 +357,17 @@ def pulse_from_doc(doc: dict) -> tuple[QuditSystem, PulseParams, float, dict]:
     return sys, params, doc["fidelity"], doc["metadata"]
 
 
+def write_json(path, doc) -> None:
+    """Write doc as indented JSON; NaN or infinity raise ValueError before the file opens."""
+    text = json.dumps(doc, indent=2, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
 def save_pulse(path, sys: QuditSystem, params: PulseParams, fidelity: float,
                metadata: dict | None = None) -> None:
     """Write a pulse and its system to JSON."""
-    with open(path, "w") as fh:
-        json.dump(pulse_doc(sys, params, fidelity, metadata), fh, indent=2)
-        fh.write("\n")
+    write_json(path, pulse_doc(sys, params, fidelity, metadata))
 
 
 def load_pulse(path) -> tuple[QuditSystem, PulseParams, float, dict]:

@@ -123,7 +123,7 @@ def test_criterion_05_end_to_end_x2_optimization(x2_converged):
 def test_criterion_06_ipr_state_machine():
     sys = transmon_system(num_qudits=1, d=4, guard=2)
     target = gate("H_d", 4)
-    cfg = IPRConfig(T_start=70.0, step=8.0, granularity=1.0, seed=7)
+    cfg = IPRConfig(T_start=70.0, step=8.0, seed=7)
     res = ipr_run(sys, target, cfg, threshold_mock_optimizer(76.0))
     assert [(r.T, r.success) for r in res.records] == [
         (70.0, False), (78.0, True), (70.0, False), (74.0, False),
@@ -137,7 +137,6 @@ def test_criterion_06_ipr_state_machine():
         cfg = IPRConfig(
             T_start=float(rng.uniform(4, 200)),
             step=float(rng.integers(1, 33)),
-            granularity=1.0,
             seed=int(rng.integers(1 << 30)),
         )
         res = ipr_run(sys, target, cfg, threshold_mock_optimizer(t_star))

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quditpulse.cli import _write_json, build_system, load_config, main
+from quditpulse.cli import build_system, load_config, main
 from quditpulse.dynamics import INTEGRATOR
 from quditpulse.model import transmon_system
 from quditpulse.pulse import (
@@ -14,6 +14,7 @@ from quditpulse.pulse import (
     load_pulse,
     random_guess,
     save_pulse,
+    write_json,
 )
 
 
@@ -253,7 +254,7 @@ class TestFitCommand:
 def test_write_json_rejects_nan_before_opening(tmp_path):
     out = tmp_path / "doc.json"
     with pytest.raises(ValueError):
-        _write_json(out, {"b": float("nan")})
+        write_json(out, {"b": float("nan")})
     assert not out.exists()
 
 

@@ -52,7 +52,7 @@ def _fidelity_mock(fid_of_t):
 class TestStateMachine:
     def test_canonical_walk(self, h4_setup):
         sys, target = h4_setup
-        cfg = IPRConfig(T_start=70.0, step=8.0, granularity=1.0, seed=7)
+        cfg = IPRConfig(T_start=70.0, step=8.0, seed=7)
         res = ipr_run(sys, target, cfg, threshold_mock_optimizer(76.0))
         walk = [(r.T, r.success) for r in res.records]
         assert walk == [
@@ -70,7 +70,7 @@ class TestStateMachine:
 
     def test_walk_determinism(self, h4_setup):
         sys, target = h4_setup
-        cfg = IPRConfig(T_start=70.0, step=8.0, granularity=1.0, seed=7)
+        cfg = IPRConfig(T_start=70.0, step=8.0, seed=7)
         r1 = ipr_run(sys, target, cfg, threshold_mock_optimizer(76.0))
         r2 = ipr_run(sys, target, cfg, threshold_mock_optimizer(76.0))
         assert [dataclasses.astuple(a) for a in r1.records] == [
@@ -79,11 +79,11 @@ class TestStateMachine:
 
     def test_immediate_success_walks_down(self, h4_setup):
         sys, target = h4_setup
-        cfg = IPRConfig(T_start=40.0, step=8.0, granularity=1.0, seed=1)
+        cfg = IPRConfig(T_start=40.0, step=8.0, seed=1)
         res = ipr_run(sys, target, cfg, threshold_mock_optimizer(40.0))
         assert res.records[0].success
         assert res.T_best == 40.0
-        # the granularity neighbor below was attempted and failed
+        # the neighbor 1 ns below was attempted and failed
         assert any(r.T == 39.0 and not r.success for r in res.records)
 
     def test_threshold_bracket_property(self, h4_setup):
@@ -94,7 +94,6 @@ class TestStateMachine:
             cfg = IPRConfig(
                 T_start=float(rng.uniform(5, 150)),
                 step=float(rng.integers(1, 17)),
-                granularity=1.0,
                 seed=int(rng.integers(1 << 30)),
             )
             res = ipr_run(sys, target, cfg, threshold_mock_optimizer(t_star))
@@ -103,7 +102,7 @@ class TestStateMachine:
 
     def test_duration_changes_by_step(self, h4_setup):
         sys, target = h4_setup
-        cfg = IPRConfig(T_start=50.0, step=16.0, granularity=1.0, seed=3)
+        cfg = IPRConfig(T_start=50.0, step=16.0, seed=3)
         res = ipr_run(sys, target, cfg, threshold_mock_optimizer(77.0))
         recs = res.records
         for prev, cur in zip(recs, recs[1:]):
@@ -113,7 +112,7 @@ class TestStateMachine:
 
     def test_step_never_increases_after_success(self, h4_setup):
         sys, target = h4_setup
-        cfg = IPRConfig(T_start=11.0, step=8.0, granularity=1.0, seed=4)
+        cfg = IPRConfig(T_start=11.0, step=8.0, seed=4)
         res = ipr_run(sys, target, cfg, threshold_mock_optimizer(33.0))
         seen_success = False
         last_step = None
@@ -125,7 +124,7 @@ class TestStateMachine:
 
     def test_seed_kind_accounting(self, h4_setup):
         sys, target = h4_setup
-        cfg = IPRConfig(T_start=30.0, step=8.0, granularity=1.0, seed=5)
+        cfg = IPRConfig(T_start=30.0, step=8.0, seed=5)
         res = ipr_run(sys, target, cfg, threshold_mock_optimizer(41.0))
         recs = res.records
         assert recs[0].seed_kind == "random"
@@ -142,10 +141,10 @@ class TestStateMachine:
             else:
                 assert cur.seed_kind == "random"
 
-    def test_never_succeeding_terminates(self, h4_setup):
+    def test_never_succeeding_terminates(self, h4_setup, monkeypatch):
         sys, target = h4_setup
-        cfg = IPRConfig(T_start=20.0, step=4.0, granularity=1.0, seed=6,
-                        max_attempts=25)
+        monkeypatch.setattr(ipr_mod, "MAX_ATTEMPTS", 25)
+        cfg = IPRConfig(T_start=20.0, step=4.0, seed=6)
         # fidelity strictly increasing in T but bounded far below the target
         res = ipr_run(sys, target, cfg, _fidelity_mock(lambda t: 0.5 * t / (t + 1)))
         assert not res.succeeded
@@ -153,10 +152,10 @@ class TestStateMachine:
         assert len(res.records) == 25
         assert all(not r.success for r in res.records)
 
-    def test_decreasing_fidelity_restarts_until_exhausted(self, h4_setup):
+    def test_decreasing_fidelity_restarts_until_exhausted(self, h4_setup, monkeypatch):
         sys, target = h4_setup
-        cfg = IPRConfig(T_start=30.0, step=4.0, granularity=1.0, seed=8,
-                        max_restarts=3)
+        monkeypatch.setattr(ipr_mod, "MAX_RESTARTS", 3)
+        cfg = IPRConfig(T_start=30.0, step=4.0, seed=8)
         res = ipr_run(sys, target, cfg, _fidelity_mock(lambda t: 0.9 - 0.001 * t))
         assert not res.succeeded
         assert res.restarts_used == 3
@@ -165,10 +164,10 @@ class TestStateMachine:
         # every restart returns to the best-fidelity duration
         assert [r.T for r in res.records if r.seed_kind == "random"] == [30.0] * 4
 
-    def test_restart_guesses_are_successive_draws_of_one_rng(self, h4_setup):
+    def test_restart_guesses_are_successive_draws_of_one_rng(self, h4_setup, monkeypatch):
         sys, target = h4_setup
-        cfg = IPRConfig(T_start=30.0, step=4.0, granularity=1.0, guess_scale=0.2, seed=11,
-                        max_restarts=3)
+        monkeypatch.setattr(ipr_mod, "MAX_RESTARTS", 3)
+        cfg = IPRConfig(T_start=30.0, step=4.0, guess_scale=0.2, seed=11)
         starts = []
         decreasing = _fidelity_mock(lambda t: 0.9 - 0.001 * t)
 
@@ -188,27 +187,44 @@ class TestStateMachine:
 
     def test_granularity_floor(self, h4_setup):
         sys, target = h4_setup
-        cfg = IPRConfig(T_start=3.0, step=2.0, granularity=1.0, seed=9)
+        cfg = IPRConfig(T_start=3.0, step=2.0, seed=9)
         res = ipr_run(sys, target, cfg, threshold_mock_optimizer(1.0))
         assert res.succeeded
         assert res.T_best == 1.0
         assert min(r.T for r in res.records) >= 1.0
 
-    def test_fractional_granularity(self, h4_setup):
+    def test_fractional_inputs_give_whole_ns_durations(self, h4_setup):
         sys, target = h4_setup
-        cfg = IPRConfig(T_start=14.0, step=2.0, granularity=0.5, seed=10)
+        cfg = IPRConfig(T_start=14.4, step=2.5, seed=10)
         res = ipr_run(sys, target, cfg, threshold_mock_optimizer(10.3))
         assert res.succeeded
-        assert 10.3 <= res.T_best < 11.3
-        assert all(abs(r.T / 0.5 - round(r.T / 0.5)) < 1e-9 for r in res.records)
+        assert res.T_best == 11.0
+        assert res.records[0].T == 14.0 and res.records[0].step_at_attempt == 3.0
+        assert all(r.T >= 1.0 and r.T == int(r.T) for r in res.records)
+        assert all(r.step_at_attempt >= 1.0 and r.step_at_attempt == int(r.step_at_attempt)
+                   for r in res.records)
+
+    def test_restart_budget(self, h4_setup):
+        sys, target = h4_setup
+        cfg = IPRConfig(T_start=30.0, step=4.0, seed=8)
+        res = ipr_run(sys, target, cfg, _fidelity_mock(lambda t: 0.9 - 0.001 * t))
+        assert res.restarts_used == ipr_mod.MAX_RESTARTS == 5
+        assert [r.seed_kind for r in res.records] == ["random", "extended"] * 6
+
+    def test_attempt_budget(self, h4_setup):
+        sys, target = h4_setup
+        cfg = IPRConfig(T_start=20.0, step=4.0, seed=6)
+        res = ipr_run(sys, target, cfg, _fidelity_mock(lambda t: 0.5 * t / (t + 1)))
+        assert len(res.records) == ipr_mod.MAX_ATTEMPTS == 200
+        assert not res.succeeded and res.restarts_used == 0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             IPRConfig(T_start=0.0)
-        with pytest.raises(ValueError):
-            IPRConfig(T_start=10.0, granularity=0.0)
-        with pytest.raises(ValueError):
-            IPRConfig(T_start=10.0, step=0.5, granularity=1.0)
+        with pytest.raises(ValueError, match="1 ns"):
+            IPRConfig(T_start=10.0, step=0.5)
+        assert [f.name for f in dataclasses.fields(IPRConfig)] == [
+            "T_start", "step", "guess_scale", "error_threshold", "seed"]
 
     @pytest.mark.parametrize("fields", [
         {"error_threshold": 5.0},
@@ -219,8 +235,6 @@ class TestStateMachine:
         {"T_start": float("nan")},
         {"step": float("inf")},
         {"step": float("nan")},
-        {"granularity": float("inf")},
-        {"granularity": float("nan")},
     ])
     def test_config_rejects_out_of_range_and_non_finite(self, fields):
         with pytest.raises(ValueError):
@@ -238,7 +252,7 @@ class TestStateMachine:
 class TestMultiRun:
     def test_single_run_summary(self, h4_setup):
         sys, target = h4_setup
-        base = IPRConfig(T_start=50.0, granularity=1.0, seed=11)
+        base = IPRConfig(T_start=50.0, seed=11)
         mr = multi_run(sys, target, base, 1, optimizer=threshold_mock_optimizer(47.0))
         assert len(mr.results) == 1
         assert mr.t_min == mr.results[0].T_best
@@ -247,7 +261,7 @@ class TestMultiRun:
 
     def test_identical_seeds_identical_results(self, h4_setup):
         sys, target = h4_setup
-        base = IPRConfig(T_start=60.0, granularity=1.0, seed=12)
+        base = IPRConfig(T_start=60.0, seed=12)
         opt = threshold_mock_optimizer(55.0)
         m1 = multi_run(sys, target, base, 4, optimizer=opt)
         m2 = multi_run(sys, target, base, 4, optimizer=opt)
@@ -256,7 +270,7 @@ class TestMultiRun:
 
     def test_threshold_min_equals_threshold(self, h4_setup):
         sys, target = h4_setup
-        base = IPRConfig(T_start=90.0, granularity=1.0, seed=13)
+        base = IPRConfig(T_start=90.0, seed=13)
         mr = multi_run(sys, target, base, 6, optimizer=threshold_mock_optimizer(77.0))
         assert all(r.succeeded for r in mr.results)
         assert mr.t_min == 77.0
@@ -264,7 +278,7 @@ class TestMultiRun:
 
     def test_sampled_starts_within_window(self, h4_setup):
         sys, target = h4_setup
-        base = IPRConfig(T_start=100.0, granularity=1.0, seed=14)
+        base = IPRConfig(T_start=100.0, seed=14)
         mr = multi_run(
             sys, target, base, 8, t_ref=100.0,
             optimizer=threshold_mock_optimizer(90.0),
@@ -350,7 +364,7 @@ class TestWorkerPool:
     @needs_fork
     def test_worker_count_does_not_change_mock_result(self, h4_setup, monkeypatch):
         sys, target = h4_setup
-        base = IPRConfig(T_start=90.0, granularity=1.0, seed=21)
+        base = IPRConfig(T_start=90.0, seed=21)
         runs = []
         for workers in ("1", "2", "3"):
             monkeypatch.setenv("QUDITPULSE_THREADS", workers)
@@ -374,7 +388,7 @@ class TestWorkerPool:
     @needs_fork
     def test_closure_optimizer_runs_in_workers(self, h4_setup, monkeypatch):
         sys, target = h4_setup
-        base = IPRConfig(T_start=90.0, granularity=1.0, seed=22)
+        base = IPRConfig(T_start=90.0, seed=22)
         optimizer = _pid_mock(77.0)
         with pytest.raises(Exception):
             pickle.dumps(optimizer)
@@ -395,7 +409,7 @@ class TestWorkerPool:
     @needs_fork
     def test_search_error_propagates_and_joins_workers(self, h4_setup, monkeypatch):
         sys, target = h4_setup
-        base = IPRConfig(T_start=100.0, granularity=1.0, seed=23)
+        base = IPRConfig(T_start=100.0, seed=23)
         mock = threshold_mock_optimizer(90.0)
         configs = multi_run(sys, target, base, 4, t_ref=100.0, optimizer=mock).configs
         t_bad = max(c.T_start for c in configs)  # only the search starting there visits it
@@ -560,9 +574,10 @@ class TestCertificate:
 
     def test_pass_at_claim_fail_at_double_is_no_success(self, monkeypatch, x2):
         sys, params, target = x2
+        monkeypatch.setattr(ipr_mod, "MAX_ATTEMPTS", 1)
         fake = _FakeSearch(monkeypatch, [_converged(0.01, params.alpha.size, 5, 2)],
                            {(0.01, 20): 5e-4, (0.01, 40): 2e-3})
-        cfg = IPRConfig(T_start=20.0, step=4.0, max_attempts=1)
+        cfg = IPRConfig(T_start=20.0, step=4.0)
         res = ipr_run(sys, target, cfg, standard_optimizer())
         # Passing at the claim resolution, the pulse needs no warm start there.
         assert [r for _, r in fake.minimize_calls] == [5]
@@ -583,7 +598,8 @@ class TestCertificate:
     def test_threshold_is_a_failure_in_ipr_run_and_certificate(self, monkeypatch, x2):
         sys, params, target = x2
         threshold = 2.0**-10  # 1 - (1 - threshold) == threshold exactly
-        cfg = IPRConfig(T_start=20.0, step=4.0, max_attempts=3, error_threshold=threshold)
+        monkeypatch.setattr(ipr_mod, "MAX_ATTEMPTS", 3)
+        cfg = IPRConfig(T_start=20.0, step=4.0, error_threshold=threshold)
         res = ipr_run(sys, target, cfg, _fidelity_mock(lambda t: 1.0 - threshold))
         assert not res.succeeded and not any(r.success for r in res.records)
 
@@ -592,14 +608,15 @@ class TestCertificate:
         result = standard_optimizer(ObjectiveConfig(error_threshold=threshold),
                                     steps_per_ns=1)(sys, params, target)
         assert result.reason == "uncertified"
-        (record,) = ipr_run(sys, target, dataclasses.replace(cfg, max_attempts=1),
-                            lambda *_: result).records
+        monkeypatch.setattr(ipr_mod, "MAX_ATTEMPTS", 1)
+        (record,) = ipr_run(sys, target, cfg, lambda *_: result).records
         assert not record.success
 
-    def test_pickled_optimizer_gives_the_same_search(self):
+    def test_pickled_optimizer_gives_the_same_search(self, monkeypatch):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         target = gate("X_d", 2)
-        cfg = IPRConfig(T_start=24.0, step=4.0, seed=5, max_attempts=2)
+        monkeypatch.setattr(ipr_mod, "MAX_ATTEMPTS", 2)
+        cfg = IPRConfig(T_start=24.0, step=4.0, seed=5)
         opt = standard_optimizer(ObjectiveConfig(), max_iter=40)
         copy = pickle.loads(pickle.dumps(opt))
         assert copy == opt

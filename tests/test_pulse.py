@@ -325,6 +325,15 @@ class TestPulseJson:
         assert fid == 0.99912345
         assert meta["gate"] == "SWAP_d"
 
+    @pytest.mark.parametrize("fidelity", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_fidelity_rejected_before_writing(self, tmp_path, fidelity):
+        # load_pulse rejects non-finite values, so save_pulse must not write them.
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        path = tmp_path / "pulse.json"
+        with pytest.raises(ValueError):
+            save_pulse(path, sys, default_params(sys, 20.0), fidelity)
+        assert not path.exists()
+
     def test_doc_round_trip(self):
         sys = transmon_system(num_qudits=1, d=4, guard=1)
         params = default_params(sys, 33.0)
