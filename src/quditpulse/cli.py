@@ -176,6 +176,17 @@ def cmd_optimize(args) -> int:
     return EXIT_OK if result.converged else EXIT_SEARCH_FAILED
 
 
+def _run_config_doc(run_cfg: RunConfig) -> dict:
+    """The --config document that repeats a run."""
+    return {
+        "system": run_cfg.system,
+        "objective": asdict(run_cfg.objective),
+        "optimizer": {"max_iter": run_cfg.max_iter, "guess_scale": run_cfg.guess_scale},
+        "integrator": {"steps_per_ns": run_cfg.steps_per_ns},
+        "seed": run_cfg.seed,
+    }
+
+
 def _ipr_result_doc(
     run_cfg: RunConfig,
     cfg: ipr_mod.IPRConfig,
@@ -185,13 +196,7 @@ def _ipr_result_doc(
 ) -> dict:
     doc = {
         "config": asdict(cfg),
-        "run_config": {  # a --config document that repeats this run
-            "system": run_cfg.system,
-            "objective": asdict(run_cfg.objective),
-            "optimizer": {"max_iter": run_cfg.max_iter, "guess_scale": run_cfg.guess_scale},
-            "integrator": {"steps_per_ns": run_cfg.steps_per_ns},
-            "seed": run_cfg.seed,
-        },
+        "run_config": _run_config_doc(run_cfg),
         "records": [asdict(r) for r in result.records],
         "best_pulse": None,
         "summary": {
@@ -273,7 +278,8 @@ def cmd_sweep(args) -> int:
             summary.t_std if summary.t_std is not None else "",
         ])
     _write_csv(args.out, SWEEP_HEADER, rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
+    write_json(f"{args.out}.run_config.json", _run_config_doc(cfg))
+    print(f"wrote {args.out} ({len(rows)} rows) and {args.out}.run_config.json")
     return EXIT_OK
 
 

@@ -9,9 +9,12 @@ midpoint t_m.  ``E`` comes from one cached eigendecomposition of the
 constant drift.  ``K_m`` needs none: with r = hypot(p, q),
 theta = atan2(q, p) and R = exp(-1j * theta * N), one qudit's p A + q B is
 r R (a + a^dag) R^H, so its exponential is W diag(exp(-1j * dt * r * D)) W^H
-with W = R V and (D, V) the cached eigenpairs of a + a^dag.  The control
-terms of two qudits commute, so K_m is the Kronecker product of the two
-qudits' exponentials.  Every step is unitary to machine precision and the
+with W = R V and (D, V) the cached eigenpairs of a + a^dag, built as
+K = I + (R R^H) o (f @ O) from f = exp(-1j * dt * r * D) - 1 and the cached
+O[k, (i, j)] = V[i, k] conj(V[j, k]): one GEMM and phases per block.  The
+control terms of two qudits commute, so K_m is the Kronecker product of the
+two qudits' exponentials, applied to E^2 one factor at a time.  Every step
+is unitary to machine precision and the
 scheme converges at second order in dt.  All essential basis columns are
 propagated together as one matrix, which also makes results independent of
 any column-level parallelism.
@@ -32,7 +35,9 @@ group's suffix products and guard sums built for all groups of a block at
 once, and it only reads the forward's block.  It differentiates each K_m in
 its closed-form eigenbasis through the divided-difference kernel of exp;
 each control operator acts on one qudit, so after the other qudit's K_m is
-contracted in only its own qudit's L x L kernel enters.  The only
+contracted in only its own qudit's L x L kernel enters, projected as
+W^H T W = V^H (R^H T R) V.  Each product with a constant (E^2, E, V) is
+a 2D GEMM over a block's stacked rows, on one BLAS thread.  The only
 eigendecompositions are those cached by ``system_operators``, so their
 number does not grow with the step count.  The spline basis and carrier
 phases of the last step grid used stay cached.
@@ -42,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -59,6 +64,12 @@ STEPS_PER_NS_TWO = 40
 
 # Trajectory snapshots are thinned to at most this many stored steps.
 MAX_STORED_STEPS = 1000
+
+# Single-thread rule: every GEMM the sweeps issue has m * n * k below this.
+# OpenBLAS 0.3.31 (2-core Xeon) runs a zgemm from 65,536 on two threads:
+# (255 x 16) @ (16 x 16) took 24 us at cpu/wall 1.00, (256 x 16) @ (16 x 16)
+# 20 us at 1.95, so a second thread costs more CPU than it saves wall time.
+GEMM_THREAD_BOUND = 65_536
 
 # Steps per block in both sweeps.  512-step blocks were no faster and, on
 # 2q d=2, T=100 ns (2-core Xeon), raised peak RSS from 51 to 59 MB.
@@ -92,8 +103,9 @@ class Splitting:
     """The eigenpairs a Strang step is built from.
 
     H0 = drift_vecs diag(drift_vals) drift_vecs^H on the full space.  On one
-    qudit's levels a + a^dag = ladder_vecs diag(ladder_vals) ladder_vecs^H,
-    and ``ladder_lowering`` = ladder_vecs^H a ladder_vecs.
+    qudit's levels a + a^dag = V diag(D) V^H with V = ``ladder_vecs``,
+    D = ``ladder_vals``; ``ladder_lowering`` = V^H a V, and ``ladder_outer``
+    (L, L * L) = O[k, (i, j)] = V[i, k] conj(V[j, k]), so K - I = (R R^H) o (f @ O).
     """
 
     num_qudits: int
@@ -102,6 +114,7 @@ class Splitting:
     ladder_vals: np.ndarray
     ladder_vecs: np.ndarray
     ladder_lowering: np.ndarray
+    ladder_outer: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -114,11 +127,13 @@ def system_operators(sys: QuditSystem) -> tuple[Splitting, np.ndarray, np.ndarra
     a = lowering_operator(sys.levels)
     ladder_vals, ladder_vecs = np.linalg.eigh(a + a.conj().T)
     lowering = ladder_vecs.conj().T @ a @ ladder_vecs
+    outer = np.einsum("ik,jk->kij", ladder_vecs, ladder_vecs.conj()).reshape(len(a), -1)
     embed = embed_isometry(sys)
     mask = sys.guard_mask()
-    for arr in (drift_vals, drift_vecs, ladder_vals, ladder_vecs, lowering, embed, mask):
+    for arr in (drift_vals, drift_vecs, ladder_vals, ladder_vecs, lowering, outer, embed, mask):
         arr.setflags(write=False)
-    split = Splitting(sys.num_qudits, drift_vals, drift_vecs, ladder_vals, ladder_vecs, lowering)
+    split = Splitting(sys.num_qudits, drift_vals, drift_vecs, ladder_vals, ladder_vecs, lowering,
+                      outer)
     return split, embed, mask
 
 
@@ -173,24 +188,38 @@ def _drift_exponential(split: Splitting, t: float) -> np.ndarray:
     return out
 
 
-def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kronecker products of two stacks of matrices, step by step."""
-    return (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(
-        len(x), x.shape[1] * y.shape[1], x.shape[2] * y.shape[2])
+def _gemm(rows: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """rows @ const for a stack of rows (..., k) and a constant (k, n): 2D GEMMs
+    over near-equal chunks of m rows, m * k * n < ``GEMM_THREAD_BOUND``, so each
+    runs on one BLAS thread and, where m >= 3, none is a matrix-vector product,
+    which BLAS rounds differently."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    out = np.empty((len(flat), const.shape[1]), dtype=complex)
+    parts = -(-len(flat) // max(1, (GEMM_THREAD_BOUND - 1) // const.size))
+    for i in range(parts):
+        lo, hi = len(flat) * i // parts, len(flat) * (i + 1) // parts
+        np.matmul(flat[lo:hi], const, out=out[lo:hi])
+    return out.reshape(rows.shape[:-1] + const.shape[1:])
+
+
+def _left_gemm(const: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """const @ stack[i] for each matrix of a stack, through the transposes."""
+    return _gemm(stack.swapaxes(1, 2), const.T).swapaxes(1, 2)
 
 
 def _qudit_exponential(split: Splitting, p: np.ndarray, q: np.ndarray,
                        dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues r D, eigenbases W = R V and exp(-1j dt (p A + q B)) of
-    one qudit's control term at each sample of p, q."""
-    number = np.arange(len(split.ladder_vals))
+    """Eigenvalues r D, phases R = exp(-1j theta N) and exp(-1j dt (p A + q B))
+    of one qudit's control term at each sample of p, q."""
+    levels = len(split.ladder_vals)
     vals = np.hypot(p, q)[:, None] * split.ladder_vals
-    vecs = np.exp(-1j * np.arctan2(q, p)[:, None, None] * number[:, None]) * split.ladder_vecs
-    # I + W (exp(-1j dt r D) - 1) W^H keeps the rounding of W W^H out of
-    # the identity part, so the steps' norm error does not add up.
-    kmat = (vecs * _expm1i(dt * vals)[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-    kmat += np.eye(len(number))
-    return vals, vecs, kmat
+    phases = np.exp(-1j * np.arctan2(q, p)[:, None] * np.arange(levels))
+    # I + (R R^H) o (f @ O), f = exp(-1j dt r D) - 1, keeps the rounding of
+    # W W^H out of the identity part, so the steps' norm error does not add up.
+    kmat = _gemm(_expm1i(dt * vals), split.ladder_outer).reshape(-1, levels, levels)
+    kmat *= phases[:, :, None] * phases.conj()[:, None, :]
+    kmat += np.eye(levels)
+    return vals, phases, kmat
 
 
 def step_unitaries(
@@ -202,14 +231,22 @@ def step_unitaries(
 ) -> tuple[list, np.ndarray]:
     """Per-qudit control eigenpairs and merged steps for one chunk of midpoints.
 
-    Returns (qudits, steps): for each qudit the (eigvals, eigvecs,
+    Returns (qudits, steps): for each qudit the (eigvals, phases,
     exponential) of its control term, and M = K E^2 at each midpoint, all
     with leading axis over steps.
     """
     qudits = [_qudit_exponential(split, p[k, sl], q[k, sl], dt)
               for k in range(split.num_qudits)]
-    kmat = reduce(_kron, [kmat for _, _, kmat in qudits])
-    return qudits, kmat @ _drift_exponential(split, dt)
+    drift = _drift_exponential(split, dt)
+    if split.num_qudits == 1:
+        return qudits, _gemm(qudits[0][2], drift)
+    # (K_1 (x) K_2) E^2: K_2 on the second qudit's index of E^2 as one GEMM,
+    # then K_1 on the first qudit's, step by step.
+    (_, _, k_1), (_, _, k_2) = qudits
+    size, levels = k_1.shape[:2]
+    drift = drift.reshape(levels, levels, -1).swapaxes(0, 1).reshape(levels, -1)
+    inner = _gemm(k_2, drift).reshape(size, levels, levels, -1).swapaxes(1, 2)
+    return qudits, (k_1 @ inner.reshape(size, levels, -1)).reshape(size, levels**2, -1)
 
 
 def _group_size(n: int, reverse: bool = False) -> int:
@@ -275,7 +312,7 @@ def propagate_sequence(
         for s in range(0, stop - start, group):
             chi = np.matmul(steps[s:s + group], chi, out=block[s:s + group])[-1]
         top = np.searchsorted(wanted, stop, side="right")
-        np.matmul(half, chis[wanted[slot:top] - start - 1], out=states[slot:top])
+        states[slot:top] = _left_gemm(half, chis[wanted[slot:top] - start - 1])
         slot = top
     return states, last
 
@@ -309,7 +346,7 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
     """
     n_steps = p.shape[1]
     n_q, levels = split.num_qudits, len(split.ladder_vals)
-    lowering = split.ladder_lowering
+    lowering, vecs = split.ladder_lowering, split.ladder_vecs
     half = _drift_exponential(split, 0.5 * dt)
     group = _group_size(len(half), reverse=True)
     # Rows hold mu_m = lambda_m^H E, so lambda_m = S_m^H lambda_{m+1} plus the
@@ -331,8 +368,11 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
             qudits, steps = last
         else:
             qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
-        injected = (coef[start:stop, None, None]
-                    * (states[start:stop].conj().swapaxes(1, 2) * mask)) @ half
+        # The guard terms, built only at the steps that have one.
+        hot = np.flatnonzero(coef[start:stop])
+        injected = np.zeros((size,) + mu.shape, dtype=complex)
+        injected[hot] = _gemm(coef[start + hot, None, None]
+                              * (states[start + hot].conj().swapaxes(1, 2) * mask), half)
         mus[size] = mu
         if group == 1:
             for i in range(size - 1, -1, -1):
@@ -369,7 +409,7 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
         # of exp on that qudit's eigenvalues and T = E psi_m mu_{m+1}.  On two
         # qudits the other qudit's K is contracted in and traced out: the
         # kernel's blocks diagonal in that qudit are its phases times G.
-        kets = half @ states[start:stop]
+        kets = _left_gemm(half, states[start:stop])
         bras = mus[1:size + 1]
         if n_q == 1:
             reduced = [kets @ bras]
@@ -379,12 +419,14 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
             bras = bras.reshape(size, -1, levels, levels)
             reduced = [_traced_pair(kets, bras, k_2),
                        _traced_pair(kets.swapaxes(1, 2), bras.swapaxes(2, 3), k_1)]
-        # With alpha = V^H a V, W^H A W = e^{-i theta} alpha + e^{i theta}
-        # alpha^H and W^H B W = 1j (e^{-i theta} alpha - e^{i theta} alpha^H).
-        for k, ((vals, vecs, _), t_k) in enumerate(zip(qudits, reduced)):
-            pair = vecs.conj().swapaxes(1, 2) @ t_k @ vecs
-            weighted = _exp_derivative_kernel(vals, dt) * pair.swapaxes(1, 2)
-            phase = np.exp(-1j * np.arctan2(q[k, start:stop], p[k, start:stop]))
+        # W = R V, so (W^H T W)^T = (R^H T R V)^T conj(V).  With alpha = V^H a V,
+        # W^H A W = e^{-i theta} alpha + e^{i theta} alpha^H and W^H B W =
+        # 1j (e^{-i theta} alpha - e^{i theta} alpha^H), e^{-i theta} = R[:, 1].
+        for k, ((vals, phases, _), t_k) in enumerate(zip(qudits, reduced)):
+            projected = _gemm(phases.conj()[:, :, None] * t_k * phases[:, None, :], vecs)
+            pair = _gemm(projected.swapaxes(1, 2), vecs.conj())
+            weighted = _exp_derivative_kernel(vals, dt) * pair
+            phase = phases[:, 1]
             lower[k, start:stop] = phase * np.einsum("bij,ij->b", weighted, lowering)
             upper[k, start:stop] = phase.conj() * np.einsum("bij,ji->b", weighted, lowering.conj())
 

@@ -197,6 +197,18 @@ class TestSweepCommand:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_run_config_sidecar_repeats_the_sweep(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json", seed=41, guard=1, guess_scale=0.02)
+        argv = ["sweep", "--gate", "X_d", "--d-range", "2..3", "--runs", "2",
+                "--mock-threshold", "21"]
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert main(argv + ["--config", cfg, "--out", str(first)]) == 0
+        sidecar = tmp_path / "first.csv.run_config.json"
+        assert load_config(str(sidecar)) == load_config(cfg)
+        assert main(argv + ["--config", str(sidecar), "--out", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+        assert (tmp_path / "again.csv.run_config.json").read_bytes() == sidecar.read_bytes()
+
     def test_bad_range(self, tmp_path):
         code = main([
             "sweep", "--gate", "X_d", "--d-range", "1..0", "--runs", "1",

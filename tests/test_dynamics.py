@@ -3,14 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from quditpulse import dynamics
 from quditpulse.dynamics import (
     BLOCK,
     PropagationError,
+    _gemm,
     _group_size,
     default_steps_per_ns,
     guard_populations,
     propagate,
     propagate_sequence,
+    reverse_sequence,
     step_grid,
     step_unitaries,
     stored_indices,
@@ -135,10 +138,11 @@ class TestStrangStep:
         for m in range(p.shape[1]):
             h_c = sum(p[k, m] * a_op + q[k, m] * b_op for k, (a_op, b_op) in enumerate(ops))
             assert np.max(np.abs(steps[m] - _eigh_exponential(h_c, dt))) <= 1e-13
-            for k, (evals, evecs, kmat) in enumerate(qudits):
+            for k, (evals, phases, kmat) in enumerate(qudits):
                 h_k = p[k, m] * a_one + q[k, m] * b_one
                 assert np.max(np.abs(kmat[m] - _eigh_exponential(h_k, dt))) <= 1e-13
-                rebuilt = (evecs[m] * evals[m]) @ evecs[m].conj().T
+                evecs = phases[m][:, None] * split.ladder_vecs  # W = R V
+                rebuilt = (evecs * evals[m]) @ evecs.conj().T
                 assert np.max(np.abs(rebuilt - h_k)) <= 1e-13 * max(1.0, np.max(np.abs(h_k)))
 
     @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
@@ -175,6 +179,119 @@ class TestStrangStep:
                 for n in (None, 640)
             ]
             assert abs(infid[0] - infid[1]) <= 1e-5
+
+
+def _per_step_exponentials(split, p, q, dt):
+    """Per qudit and step: eigenvalues r D, eigenbasis W = R V and
+    K = I + W (exp(-1j dt r D) - 1) W^H, one small product per step."""
+    out = []
+    for k in range(split.num_qudits):
+        qudit = []
+        for p_m, q_m in zip(p[k], q[k]):
+            vals = np.hypot(p_m, q_m) * split.ladder_vals
+            phases = np.exp(-1j * np.arctan2(q_m, p_m) * np.arange(len(vals)))
+            vecs = phases[:, None] * split.ladder_vecs
+            kmat = np.eye(len(vals)) + (vecs * np.expm1(-1j * dt * vals)) @ vecs.conj().T
+            qudit.append((vals, vecs, kmat))
+        out.append(qudit)
+    return out
+
+
+def _factor_system(num_qudits, d, n_steps, seed):
+    sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
+    split, embed, mask = system_operators(sys)
+    rng = np.random.default_rng(seed)
+    p, q = rng.uniform(-0.3, 0.3, (2, num_qudits, n_steps))
+    return sys, split, embed, mask, p, q, 1.0 / default_steps_per_ns(sys), rng
+
+
+class TestFactorKernels:
+    # Stated tolerance of the factor-form kernels against the per-step
+    # formulas they replace: 1e-13 absolute on the merged steps, 1e-12
+    # relative (max norm) on the adjoint gradient.
+
+    @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
+    def test_merged_steps_match_per_step_formula(self, num_qudits, d):
+        sys, split, _, _, p, q, dt, _ = _factor_system(num_qudits, d, 40, d)
+        _, steps = step_unitaries(split, p, q, dt, slice(None))
+        drift_sq = _eigh_exponential(drift_hamiltonian(sys), dt)
+        per_qudit = _per_step_exponentials(split, p, q, dt)
+        for m in range(p.shape[1]):
+            kmat = per_qudit[0][m][2]
+            if num_qudits == 2:
+                kmat = np.kron(kmat, per_qudit[1][m][2])
+            assert np.max(np.abs(steps[m] - kmat @ drift_sq)) <= 1e-13
+
+    @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
+    def test_adjoint_matches_per_step_formula(self, num_qudits, d):
+        # dJ/dc_m = 2 Re tr(mu_{m+1} dK_m/dc E psi_m), with dK/dc = W (G o
+        # W^H C W) W^H on the driven qudit, Kronecker-multiplied by the other
+        # qudit's K; the step count leaves a short first block and crosses
+        # two block edges, and some steps carry no guard term.
+        n_steps = 2 * BLOCK + 5
+        sys, split, embed, mask, p, q, dt, rng = _factor_system(num_qudits, d, n_steps, 7 + d)
+        states, last = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
+        lam = rng.standard_normal(embed.shape) + 1j * rng.standard_normal(embed.shape)
+        coef = rng.uniform(0.0, 0.5, n_steps + 1) * (rng.uniform(size=n_steps + 1) < 0.7)
+        grad = reverse_sequence(split, p, q, dt, states, lam, coef, mask, last)
+
+        half = _eigh_exponential(drift_hamiltonian(sys), 0.5 * dt)
+        controls = control_operators(transmon_system(num_qudits=1, d=d, guard=2))[0]
+        per_qudit = _per_step_exponentials(split, p, q, dt)
+        reference = np.zeros((2, num_qudits, n_steps))
+        lam = lam + coef[n_steps] * (mask[:, None] * states[n_steps])
+        for m in range(n_steps - 1, -1, -1):
+            mu = lam.conj().T @ half
+            ket = half @ states[m]
+            kmats = [per_qudit[k][m][2] for k in range(num_qudits)]
+            for k in range(num_qudits):
+                vals, vecs, _ = per_qudit[k][m]
+                mean = 0.5 * (vals[:, None] + vals[None, :])
+                gap = vals[:, None] - vals[None, :]
+                kernel = -1j * dt * np.exp(-1j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
+                for c, op in enumerate(controls):
+                    dk = vecs @ (kernel * (vecs.conj().T @ op @ vecs)) @ vecs.conj().T
+                    factors = kmats[:k] + [dk] + kmats[k + 1:]
+                    dk_full = factors[0] if num_qudits == 1 else np.kron(*factors)
+                    reference[c, k, m] = 2.0 * np.real(np.trace(mu @ dk_full @ ket))
+            kmat = kmats[0] if num_qudits == 1 else np.kron(*kmats)
+            lam = (half @ kmat @ half).conj().T @ lam + coef[m] * (mask[:, None] * states[m])
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(np.asarray(grad) - reference)) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
+    def test_every_gemm_stays_on_one_blas_thread(self, num_qudits, d, monkeypatch):
+        # Both sweeps over a short first block and a full one; every product
+        # the sweeps issue through np.matmul, the chunked GEMMs among them,
+        # has m * n * k below 65,536, from which OpenBLAS 0.3.31 runs a zgemm
+        # on two threads.
+        n_steps = BLOCK + 37
+        _, split, embed, mask, p, q, dt, _ = _factor_system(num_qudits, d, n_steps, d)
+        sizes = []
+        matmul = np.matmul
+
+        def recording_matmul(a, b, **kwargs):
+            sizes.append((a.shape[-2] if a.ndim > 1 else 1) * a.shape[-1] * b.shape[-1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording_matmul)
+        states, last = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
+        coef = np.full(n_steps + 1, 0.1)
+        reverse_sequence(split, p, q, dt, states, embed, coef, mask, last)
+        monkeypatch.undo()
+        assert sizes and max(sizes) < 65_536
+
+    @pytest.mark.parametrize("n", [4, 6, 16, 25])
+    @pytest.mark.parametrize("stack", [1, 81, BLOCK])
+    def test_right_constant_product_is_independent_of_chunk_size(self, n, stack, monkeypatch):
+        rng = np.random.default_rng(n + stack)
+        rows = rng.standard_normal((stack, n, n)) + 1j * rng.standard_normal((stack, n, n))
+        const = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        stacked = rows @ const
+        for chunk in (None, 3, 7, 50):
+            if chunk is not None:
+                monkeypatch.setattr(dynamics, "GEMM_THREAD_BOUND", chunk * n * n + 1)
+            assert np.array_equal(_gemm(rows, const), stacked), chunk
 
 
 SWEEP_SYSTEMS = [(1, 2), (1, 8), (2, 2), (2, 3)]
