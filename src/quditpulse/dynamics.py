@@ -24,16 +24,20 @@ M_m = K_m E^2 and recover psi = E chi a block at a time.  Both build their
 steps ``BLOCK`` at a time with ``step_unitaries``, in blocks aligned to the
 end of the pulse, so only the first block can be short.  The forward sweep
 ``propagate_sequence`` multiplies, for matrices up to 16 x 16, prefix
-products over groups of steps, built for all groups of a block at once, and
-hands its build of the last block (per-qudit eigenpairs and exponentials,
-and the M_m copied before the prefix products overwrite them) to the
-reverse sweep, which starts there and so builds one block fewer.  Its exact
-discrete adjoint ``reverse_sequence`` carries mu_m = lambda_m^H E back
-through the same M_m: mu_m = mu_{m+1} M_m + g_m with g_m the guard term.
-For matrices up to 10 x 10 it runs over groups of steps too, with each
-group's suffix products and guard sums built for all groups of a block at
-once, and it only reads the forward's block.  It differentiates each K_m in
-its closed-form eigenbasis through the divided-difference kernel of exp;
+products over groups of steps, built for all groups of a block at once,
+stores only the states it is asked for, and hands its build of the last
+block (per-qudit eigenpairs and exponentials, and the M_m copied before the
+prefix products overwrite them) to the reverse sweep, which starts there
+and so builds one block fewer.  Its exact discrete adjoint
+``reverse_sequence`` carries mu_m = lambda_m^H E back through the same M_m:
+mu_m = mu_{m+1} M_m + g_m with g_m the guard term.  Every M_m is unitary,
+so where the forward stored only some states, chi_m^H = chi_{m+1}^H M_m
+rebuilds the others from the final one as h more rows of the same products,
+restarted from the stored states where a group of steps begins on their
+grid.  For matrices up to 10 x 10 it runs over groups of steps too, with
+each group's suffix products and guard sums built for all groups of a block
+at once, and it only reads the forward's block.  It differentiates each K_m
+in its closed-form eigenbasis through the divided-difference kernel of exp;
 each control operator acts on one qudit, so after the other qudit's K_m is
 contracted in only its own qudit's L x L kernel enters, projected as
 W^H T W = V^H (R^H T R) V.  Each product with a constant (E^2, E, V) is
@@ -336,24 +340,39 @@ def _traced_pair(kets: np.ndarray, bras: np.ndarray, kmat: np.ndarray) -> np.nda
 
 
 def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
-                     states: np.ndarray, lam: np.ndarray, coef: np.ndarray,
-                     mask: np.ndarray, last: tuple) -> tuple[np.ndarray, np.ndarray]:
+                     store: np.ndarray, states: np.ndarray, lam: np.ndarray,
+                     weights: np.ndarray, mask: np.ndarray,
+                     last: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of ``propagate_sequence``: (dJ/dp, dJ/dq), each shaped like p.
 
-    ``states[m]`` is the state after m steps, ``lam`` = dJ/d conj(states[-1]),
-    and J adds the running cost ``coef[m] * sum(|states[m][mask]|^2)``.
-    ``last`` is the forward sweep's build of the last block; it is only read.
+    ``states[i]`` is the state after ``store[i]`` steps, with ``store[-1]`` =
+    n_steps; ``lam`` = dJ/d conj(states[-1]), and J adds the running cost
+    ``weights[i] * sum(|states[i][mask]|^2)``.  The states ``store`` misses
+    are rebuilt backwards.  ``last`` is the forward sweep's build of the last
+    block; it is only read.
     """
     n_steps = p.shape[1]
     n_q, levels = split.num_qudits, len(split.ladder_vals)
     lowering, vecs = split.ladder_lowering, split.ladder_vecs
     half = _drift_exponential(split, 0.5 * dt)
+    drift = _drift_exponential(split, dt)
     group = _group_size(len(half), reverse=True)
-    # Rows hold mu_m = lambda_m^H E, so lambda_m = S_m^H lambda_{m+1} plus the
-    # guard term of step m is mu_m = mu_{m+1} M_m + coef[m] psi_m^H mask E.
-    mus = np.empty((BLOCK + 1,) + lam.shape[::-1], dtype=complex)
+    # Rows :h hold mu_m = lambda_m^H E, so lambda_m = S_m^H lambda_{m+1} plus
+    # the guard term of step m is mu_m = mu_{m+1} M_m + coef[m] psi_m^H mask E.
+    # Unless ``store`` holds every step, rows h: hold chi_m^H = psi_m^H E =
+    # chi_{m+1}^H M_m, the same recurrence without a guard term, so each
+    # product updates both; they restart from the stored state at each step
+    # on the grid that tops a group, so their rounding builds up over few
+    # steps.
+    h = lam.shape[1]
+    rebuild = len(store) <= n_steps
+    mus = np.empty((BLOCK + 1, 2 * h if rebuild else h, len(half)), dtype=complex)
     prods = np.empty((BLOCK,) + half.shape, dtype=complex) if group > 1 else None
-    mu = (lam.conj().T + coef[n_steps] * (states[n_steps].conj().T * mask)) @ half
+    coef = np.zeros(n_steps + 1)
+    coef[store] = weights
+    final = states[-1].conj().T
+    mu = lam.conj().T + coef[n_steps] * (final * mask)
+    mu = (np.concatenate([mu, final]) if rebuild else mu) @ half
     lower = np.empty((n_q, n_steps), dtype=complex)
     upper = np.empty((n_q, n_steps), dtype=complex)
 
@@ -361,8 +380,8 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
     # the steps are freed before the kernels run and only the eigenpairs
     # outlive a block.
     def recurrence(start: int, stop: int, mu: np.ndarray) -> list:
-        """mus[i] = mu_{start+i} for i <= size from mu = mu_stop; returns the
-        block's per-qudit control eigenpairs and exponentials."""
+        """mus[i] = rows_{start+i} for i <= size from mu = rows_stop; returns
+        the block's per-qudit control eigenpairs and exponentials."""
         size = stop - start
         if stop == n_steps:
             qudits, steps = last
@@ -370,15 +389,23 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
             qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
         # The guard terms, built only at the steps that have one.
         hot = np.flatnonzero(coef[start:stop])
-        injected = np.zeros((size,) + mu.shape, dtype=complex)
-        injected[hot] = _gemm(coef[start + hot, None, None]
-                              * (states[start + hot].conj().swapaxes(1, 2) * mask), half)
+        guard = states[np.searchsorted(store, start + hot)].conj().swapaxes(1, 2) * mask
+        injected = np.zeros((size, h, len(half)), dtype=complex)
+        injected[hot] = _gemm(coef[start + hot, None, None] * guard, half)
+        restart = {}
+        if rebuild:
+            lo, top = np.searchsorted(store, [start, stop + 1])
+            tops = lo + np.flatnonzero((stop - store[lo:top]) % group == 0)
+            restart = dict(zip(store[tops].tolist(),
+                               _gemm(states[tops].conj().swapaxes(1, 2), half)))
         mus[size] = mu
         if group == 1:
             for i in range(size - 1, -1, -1):
+                if start + i + 1 in restart:
+                    mus[i + 1, h:] = restart[start + i + 1]
                 np.matmul(mus[i + 1], steps[i], out=mus[i])
                 if coef[start + i]:
-                    mus[i] += injected[i]
+                    mus[i, :h] += injected[i]
             return qudits
         # Counted from the top of the block down, the steps r0..r of a group
         # give mu_r = mu_{r0-1} P_r + G_r with the suffix products
@@ -395,22 +422,27 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
         rows = mus[:size][::-1]
         mu = mus[size]  # the rows overwrite mus[0]
         for r in range(0, size, group):
+            if stop - r in restart:
+                mu[h:] = restart[stop - r]
             np.matmul(mu, suffix[r:r + group], out=rows[r:r + group])
             if any(guarded[r:r + group]):
-                rows[r:r + group] += sums[r:r + group]
+                rows[r:r + group, :h] += sums[r:r + group]
             mu = rows[min(r + group, size) - 1]
         return qudits
 
     def sensitivities(start: int, stop: int, qudits: list) -> None:
         size = stop - start
-        # S_m = E K_m E, so K_m's derivative sees E psi_m and mu_{m+1}:
-        # dJ/dc = 2 Re sum(G o (W^H T W)^T o W^H C W) for a control operator
-        # C on one qudit with eigenbasis W, G the divided-difference kernel
-        # of exp on that qudit's eigenvalues and T = E psi_m mu_{m+1}.  On two
-        # qudits the other qudit's K is contracted in and traced out: the
-        # kernel's blocks diagonal in that qudit are its phases times G.
-        kets = _left_gemm(half, states[start:stop])
-        bras = mus[1:size + 1]
+        # S_m = E K_m E, so K_m's derivative sees E psi_m = E^2 chi_m and
+        # mu_{m+1}: dJ/dc = 2 Re sum(G o (W^H T W)^T o W^H C W) for a control
+        # operator C on one qudit with eigenbasis W, G the divided-difference
+        # kernel of exp on that qudit's eigenvalues and T = E psi_m mu_{m+1}.
+        # On two qudits the other qudit's K is contracted in and traced out:
+        # the kernel's blocks diagonal in that qudit are its phases times G.
+        if rebuild:
+            kets = _left_gemm(drift, mus[:size, h:].conj().swapaxes(1, 2))
+        else:
+            kets = _left_gemm(half, states[start:stop])
+        bras = mus[1:size + 1, :h]
         if n_q == 1:
             reduced = [kets @ bras]
         else:
@@ -436,14 +468,10 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
     return 2.0 * np.real(lower + upper), -2.0 * np.imag(lower - upper)
 
 
-def guard_population_columns(states: np.ndarray, mask: np.ndarray,
-                             steps: np.ndarray | None = None) -> np.ndarray:
+def guard_population_columns(states: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per-column population on guard-containing basis states of a stack of
-    states (S, n, h), at ``steps`` (default: all); only the guard rows of
-    those steps are copied."""
-    if steps is None:
-        steps = np.arange(len(states))
-    pop = np.abs(states[steps[:, None], mask])
+    states (S, n, h); only the guard rows are copied."""
+    pop = np.abs(states[:, mask])
     pop *= pop
     return pop.sum(axis=-2)
 

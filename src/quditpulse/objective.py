@@ -10,13 +10,15 @@ essential subspace and the second is the time-averaged population of
 guard-containing basis states on the decimated trajectory grid.
 
 ``forward`` propagates once through the Strang steps of
-``dynamics.propagate_sequence``, keeping every step state and the last
-block of steps, and returns a ``ForwardCache`` with the value parts.
-``backward(cache)`` turns it into the gradient without a second forward
-sweep: it hands the infidelity's final-state cotangent, the guard weights
-and that block to ``dynamics.reverse_sequence``, the exact adjoint of those
-steps, the control sensitivities to ``pulse.controls_adjoint``, and adds
-the L2 term.  It only reads the cache, so it can run on one cache twice.
+``dynamics.propagate_sequence``, keeping the states on the guard grid (the
+last of them the final state) and the last block of steps, and returns a
+``ForwardCache`` with the value parts.  ``backward(cache)`` turns it into
+the gradient without a second forward sweep: it hands the infidelity's
+final-state cotangent, the guard-grid states and weights and that block to
+``dynamics.reverse_sequence``, the exact adjoint of those steps, which
+rebuilds the states between backwards from the stored ones, the control
+sensitivities to ``pulse.controls_adjoint``, and adds the L2 term.  It only
+reads the cache, so it can run on one cache twice.
 The gradient is exact for the discrete propagator, so it matches finite
 differences of the same objective, not of the continuous-time one.
 The other entry points wrap these; ``gradient(..., method="fd")`` is a
@@ -84,8 +86,8 @@ def trace_infidelity(final_states: np.ndarray, v_embedded: np.ndarray, h: int) -
 
 @lru_cache(maxsize=1)
 def _guard_weights(n_steps: int, dt: float, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stored step indices and weights c on all n_steps + 1 states, both
-    read-only: guard penalty = c @ (guard population summed over columns), the
+    """Guard-grid step indices and weights c on their states, both read-only:
+    guard penalty = c @ (guard population summed over columns), the
     trapezoid-rule time average over the stored times of the column-averaged
     guard population."""
     idx = stored_indices(n_steps)
@@ -94,18 +96,17 @@ def _guard_weights(n_steps: int, dt: float, n_cols: int) -> tuple[np.ndarray, np
     w[0] = 0.5 * (times[1] - times[0])
     w[-1] = 0.5 * (times[-1] - times[-2])
     w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    coef = np.zeros(n_steps + 1)
-    coef[idx] = w / ((times[-1] - times[0]) * n_cols)
+    w /= (times[-1] - times[0]) * n_cols
     idx.setflags(write=False)
-    coef.setflags(write=False)
-    return idx, coef
+    w.setflags(write=False)
+    return idx, w
 
 
 @dataclass(frozen=True, eq=False)
 class ForwardCache:
-    """One forward pass: inputs, ``states[m]`` after m steps, the last
-    block's step build, the guard penalty's weight on each state, and the
-    value parts."""
+    """One forward pass: inputs, ``guard_states[i]`` after ``guard_steps[i]``
+    steps (the last is the final state), the last block's step build, the
+    guard penalty's weight on each guard-grid state, and the value parts."""
 
     sys: QuditSystem
     params: PulseParams
@@ -114,7 +115,8 @@ class ForwardCache:
     grid: SampleGrid
     p: np.ndarray
     q: np.ndarray
-    states: np.ndarray
+    guard_steps: np.ndarray
+    guard_states: np.ndarray
     last: tuple
     v_emb: np.ndarray
     overlap: complex
@@ -131,18 +133,17 @@ def forward(
     cfg: ObjectiveConfig,
     steps_per_ns: int | None = None,
 ) -> ForwardCache:
-    """Propagate once, keeping every step state, and evaluate the objective."""
+    """Propagate once, keeping the guard-grid states, and evaluate the objective."""
     split, embed, mask = system_operators(sys)
     dt, grid, p, q = midpoint_controls(sys, params, steps_per_ns)
-    n_steps = p.shape[1]
-    states, last = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
+    idx, coef = _guard_weights(p.shape[1], dt, sys.dim_essential)
+    states, last = propagate_sequence(split, p, q, dt, embed, idx)
     v_emb = embed_target(target, sys)
     infid = trace_infidelity(states[-1], v_emb, sys.dim_essential)
-    idx, coef = _guard_weights(n_steps, dt, sys.dim_essential)
-    guard = float(coef[idx] @ guard_population_columns(states, mask, idx).sum(axis=-1))
+    guard = float(coef @ guard_population_columns(states, mask).sum(axis=-1))
     total = infid + cfg.w_guard * guard + cfg.w_l2 * float(params.alpha @ params.alpha)
     overlap = np.vdot(v_emb, states[-1])
-    return ForwardCache(sys, params, cfg, dt, grid, p, q, states, last, v_emb, overlap,
+    return ForwardCache(sys, params, cfg, dt, grid, p, q, idx, states, last, v_emb, overlap,
                         coef, total, infid, guard)
 
 
@@ -152,8 +153,9 @@ def backward(cache: ForwardCache) -> np.ndarray:
     split, _, mask = system_operators(sys)
     # dJ/d conj(psi_T) of the infidelity 1 - |<V, psi_T>|^2 / h^2
     lam = -(cache.overlap / sys.dim_essential**2) * cache.v_emb
-    sens = reverse_sequence(split, cache.p, cache.q, cache.dt, cache.states, lam,
-                            cfg.w_guard * cache.guard_coef, mask, cache.last)
+    sens = reverse_sequence(split, cache.p, cache.q, cache.dt, cache.guard_steps,
+                            cache.guard_states, lam, cfg.w_guard * cache.guard_coef, mask,
+                            cache.last)
     grad = controls_adjoint(params, cache.grid, sens)
     grad += 2.0 * cfg.w_l2 * params.alpha
     grad[params.boundary_mask()] = 0.0

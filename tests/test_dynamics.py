@@ -222,18 +222,25 @@ class TestFactorKernels:
                 kmat = np.kron(kmat, per_qudit[1][m][2])
             assert np.max(np.abs(steps[m] - kmat @ drift_sq)) <= 1e-13
 
-    @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
-    def test_adjoint_matches_per_step_formula(self, num_qudits, d):
-        # dJ/dc_m = 2 Re tr(mu_{m+1} dK_m/dc E psi_m), with dK/dc = W (G o
-        # W^H C W) W^H on the driven qudit, Kronecker-multiplied by the other
-        # qudit's K; the step count leaves a short first block and crosses
-        # two block edges, and some steps carry no guard term.
-        n_steps = 2 * BLOCK + 5
+    @staticmethod
+    def _adjoint_error(num_qudits, d, n_steps, stride):
+        """Max deviation of ``reverse_sequence`` from a per-step adjoint loop
+        over every state, relative to max |reference|, with every state stored
+        and with every ``stride``-th: dJ/dc_m = 2 Re tr(mu_{m+1} dK_m/dc E
+        psi_m), with dK/dc = W (G o W^H C W) W^H on the driven qudit,
+        Kronecker-multiplied by the other qudit's K.  About 30% of the
+        sparse grid's steps carry no guard term."""
         sys, split, embed, mask, p, q, dt, rng = _factor_system(num_qudits, d, n_steps, 7 + d)
-        states, last = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
+        states, _ = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
+        grid = np.append(np.arange(0, n_steps, stride), n_steps)
         lam = rng.standard_normal(embed.shape) + 1j * rng.standard_normal(embed.shape)
-        coef = rng.uniform(0.0, 0.5, n_steps + 1) * (rng.uniform(size=n_steps + 1) < 0.7)
-        grad = reverse_sequence(split, p, q, dt, states, lam, coef, mask, last)
+        coef = np.zeros(n_steps + 1)
+        coef[grid] = rng.uniform(0.0, 0.5, len(grid)) * (rng.uniform(size=len(grid)) < 0.7)
+        grads = []
+        for store in (np.arange(n_steps + 1), grid):
+            stored, last = propagate_sequence(split, p, q, dt, embed, store)
+            grads.append(reverse_sequence(split, p, q, dt, store, stored, lam, coef[store], mask,
+                                          last))
 
         half = _eigh_exponential(drift_hamiltonian(sys), 0.5 * dt)
         controls = control_operators(transmon_system(num_qudits=1, d=d, guard=2))[0]
@@ -257,14 +264,45 @@ class TestFactorKernels:
             kmat = kmats[0] if num_qudits == 1 else np.kron(*kmats)
             lam = (half @ kmat @ half).conj().T @ lam + coef[m] * (mask[:, None] * states[m])
         scale = np.max(np.abs(reference))
-        assert np.max(np.abs(np.asarray(grad) - reference)) <= 1e-12 * scale
+        return max(np.max(np.abs(np.asarray(g) - reference)) for g in grads) / scale
+
+    @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
+    def test_adjoint_matches_per_step_formula(self, num_qudits, d):
+        # The step count leaves a short first block and crosses two block
+        # edges.
+        assert self._adjoint_error(num_qudits, d, 2 * BLOCK + 5, 3) <= 1e-12
+
+    @pytest.mark.parametrize("num_qudits, d, n_steps", [(1, 5, 4400), (2, 2, 4000)])
+    def test_adjoint_matches_per_step_formula_on_long_pulses(self, num_qudits, d, n_steps):
+        # Rebuilt states gain rounding with the step count; the sparse grid
+        # is the guard grid of the objective.
+        assert self._adjoint_error(num_qudits, d, n_steps, -(-n_steps // 1000)) <= 1e-11
+
+    @pytest.mark.parametrize("num_qudits, d, n_steps", [(1, 5, 4400), (2, 2, 4000)])
+    def test_rebuilt_states_match_stored_states(self, num_qudits, d, n_steps):
+        # The same sweep with every state stored and with only the guard
+        # grid's: the rebuilt rows restart on the grid, so their rounding
+        # stays near one step's (4.3e-15 and 1.1e-15 here; rebuilt from the
+        # final state alone, 8.6e-14 and 1.8e-13).
+        _, split, embed, mask, p, q, dt, rng = _factor_system(num_qudits, d, n_steps, d)
+        lam = rng.standard_normal(embed.shape) + 1j * rng.standard_normal(embed.shape)
+        grid = stored_indices(n_steps)
+        coef = np.zeros(n_steps + 1)
+        coef[grid] = rng.uniform(0.0, 0.5, len(grid))
+        grads = []
+        for store in (np.arange(n_steps + 1), grid):
+            states, last = propagate_sequence(split, p, q, dt, embed, store)
+            grads.append(np.asarray(reverse_sequence(split, p, q, dt, store, states, lam,
+                                                     coef[store], mask, last)))
+        assert np.max(np.abs(grads[1] - grads[0])) <= 2e-14 * np.max(np.abs(grads[0]))
 
     @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
     def test_every_gemm_stays_on_one_blas_thread(self, num_qudits, d, monkeypatch):
-        # Both sweeps over a short first block and a full one; every product
-        # the sweeps issue through np.matmul, the chunked GEMMs among them,
-        # has m * n * k below 65,536, from which OpenBLAS 0.3.31 runs a zgemm
-        # on two threads.
+        # Both sweeps over a short first block and a full one, with every
+        # state stored and with the states between every 4th rebuilt; every
+        # product the sweeps issue through np.matmul, the chunked GEMMs among
+        # them, has m * n * k below 65,536, from which OpenBLAS 0.3.31 runs a
+        # zgemm on two threads.
         n_steps = BLOCK + 37
         _, split, embed, mask, p, q, dt, _ = _factor_system(num_qudits, d, n_steps, d)
         sizes = []
@@ -275,9 +313,11 @@ class TestFactorKernels:
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", recording_matmul)
-        states, last = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
-        coef = np.full(n_steps + 1, 0.1)
-        reverse_sequence(split, p, q, dt, states, embed, coef, mask, last)
+        for stride in (1, 4):
+            store = np.append(np.arange(0, n_steps, stride), n_steps)
+            states, last = propagate_sequence(split, p, q, dt, embed, store)
+            reverse_sequence(split, p, q, dt, store, states, embed, np.full(len(store), 0.1),
+                             mask, last)
         monkeypatch.undo()
         assert sizes and max(sizes) < 65_536
 

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from quditpulse.dynamics import (
     PropagationError,
     guard_population_columns,
     propagate,
+    propagate_sequence,
     system_operators,
 )
 from quditpulse.model import (
@@ -41,25 +43,35 @@ def _random_pulse(sys, T, scale, seed):
     return params.with_alpha(random_guess(params, scale, seed))
 
 
+def _full_trajectory(cache):
+    """All n_steps + 1 states of the cache's pulse, stored by the forward sweep."""
+    split, embed, _ = system_operators(cache.sys)
+    n_steps = cache.p.shape[1]
+    return propagate_sequence(split, cache.p, cache.q, cache.dt, embed, np.arange(n_steps + 1))[0]
+
+
 def _per_step_reference_gradient(cache):
     """A step-by-step reverse loop through the Strang steps S = E K E, with
-    E and K built from plain eigendecompositions of H0 and p A + q B."""
+    E and K built from plain eigendecompositions of H0 and p A + q B, over
+    the stored states of every step."""
     sys, params, cfg, dt = cache.sys, cache.params, cache.cfg, cache.dt
     _, _, mask = system_operators(sys)
     ops = control_operators(sys)
     drift_vals, drift_vecs = np.linalg.eigh(drift_hamiltonian(sys))
     half = (drift_vecs * np.exp(-0.5j * dt * drift_vals)) @ drift_vecs.conj().T
     n_steps = cache.p.shape[1]
-    guard_coef = cfg.w_guard * cache.guard_coef
+    states = _full_trajectory(cache)
+    guard_coef = np.zeros(n_steps + 1)
+    guard_coef[cache.guard_steps] = cfg.w_guard * cache.guard_coef
     lam = -(cache.overlap / sys.dim_essential**2) * cache.v_emb
-    lam = lam + guard_coef[n_steps] * (mask[:, None] * cache.states[n_steps])
+    lam = lam + guard_coef[n_steps] * (mask[:, None] * states[n_steps])
     s_a = np.empty((len(ops), n_steps))
     s_b = np.empty((len(ops), n_steps))
     for m in range(n_steps - 1, -1, -1):
         h_c = sum(cache.p[k, m] * a_op + cache.q[k, m] * b_op for k, (a_op, b_op) in enumerate(ops))
         evals, basis_q = np.linalg.eigh(h_c)
         lam_t = basis_q.conj().T @ (half.conj().T @ lam)
-        psi_t = basis_q.conj().T @ (half @ cache.states[m])
+        psi_t = basis_q.conj().T @ (half @ states[m])
         mean = 0.5 * (evals[:, None] + evals[None, :])
         gap = evals[:, None] - evals[None, :]
         kernel = -1j * dt * np.exp(-1j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
@@ -68,7 +80,7 @@ def _per_step_reference_gradient(cache):
             s_a[k, m] = 2.0 * np.real(np.sum(kernel_p * (basis_q.conj().T @ a_op @ basis_q)))
             s_b[k, m] = 2.0 * np.real(np.sum(kernel_p * (basis_q.conj().T @ b_op @ basis_q)))
         lam = half.conj().T @ (basis_q @ (np.exp(1j * dt * evals)[:, None] * lam_t))
-        lam = lam + guard_coef[m] * (mask[:, None] * cache.states[m])
+        lam = lam + guard_coef[m] * (mask[:, None] * states[m])
     midpoints = (np.arange(n_steps) + 0.5) * dt
     basis_mid = basis_matrix(params.N_b, params.T, midpoints)
     grad = np.empty((params.num_controls, params.num_carriers, params.N_b, 2))
@@ -138,8 +150,8 @@ class TestGuardPenalty:
 
     def test_constant_population_average(self, monkeypatch):
         # Each column holds 0.25 on the guard states at every stored time.
-        def constant(states, mask, steps):
-            return np.full((len(steps), states.shape[2]), 0.25)
+        def constant(states, mask):
+            return np.full((len(states), states.shape[2]), 0.25)
 
         monkeypatch.setattr(objective_mod, "guard_population_columns", constant)
         sys = transmon_system(num_qudits=1, d=3, guard=2)
@@ -152,10 +164,11 @@ class TestGuardPenalty:
         # 60 ns * 100 steps/ns = 6000 steps: the guard average decimates ~6x
         cache = forward(sys, params, gate("X_d", 2), ObjectiveConfig(), steps_per_ns=100)
         _, _, mask = system_operators(sys)
-        times = np.linspace(0.0, params.T, len(cache.states))
-        pop = guard_population_columns(cache.states, mask).sum(axis=-1) / sys.dim_essential
+        states = _full_trajectory(cache)
+        times = np.linspace(0.0, params.T, len(states))
+        pop = guard_population_columns(states, mask).sum(axis=-1) / sys.dim_essential
         full = np.sum(0.5 * (pop[1:] + pop[:-1]) * np.diff(times)) / params.T
-        assert np.count_nonzero(cache.guard_coef) < len(cache.states)
+        assert len(cache.guard_states) < len(states)
         assert cache.guard == pytest.approx(full, abs=1e-4)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 125, 1000, 1001, 4321])
@@ -163,7 +176,7 @@ class TestGuardPenalty:
         dt, n_cols = 0.05, 3
         idx, coef = objective_mod._guard_weights(n_steps, dt, n_cols)
         assert idx[0] == 0 and idx[-1] == n_steps
-        assert np.count_nonzero(coef) == len(idx) and coef[idx].min() > 0
+        assert len(coef) == len(idx) and coef.min() > 0
         # The trapezoid weights of a time average sum to one, per column.
         assert coef.sum() == pytest.approx(1.0 / n_cols, rel=1e-12)
         assert not idx.flags.writeable and not coef.flags.writeable
@@ -370,3 +383,38 @@ class TestGradient:
         params = default_params(sys, 20.0)
         with pytest.raises(ValueError):
             gradient(sys, params, gate("X_d", 2), ObjectiveConfig(), method="magic")
+
+
+class TestMemory:
+    def test_gradient_keeps_no_trajectory(self):
+        # The eval_matrix benchmark's largest system: 2q d=3, T = 150 ns, 6,000
+        # steps.  Storing every state took 21.6 MB and one gradient peaked
+        # at 28 MB; the guard grid holds 1,001 states (3.6 MB).  The first
+        # call fills the step grid's caches, the second is measured.
+        sys = transmon_system(num_qudits=2, d=3, guard=2)
+        params = _random_pulse(sys, 150.0, 0.3, 16)
+        target, cfg = gate("SWAP_d", 3), ObjectiveConfig()
+        gradient(sys, params, target, cfg)
+        tracemalloc.start()
+        try:
+            gradient(sys, params, target, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 14e6
+
+        cache = forward(sys, params, target, cfg)
+        n_steps = cache.p.shape[1]
+
+        def leading_axes(value):
+            if isinstance(value, np.ndarray):
+                yield value.shape[0] if value.ndim else None
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from leading_axes(item)
+            elif dataclasses.is_dataclass(value):
+                for f in dataclasses.fields(value):
+                    yield from leading_axes(getattr(value, f.name))
+
+        assert n_steps == 6000
+        assert n_steps + 1 not in set(leading_axes(cache))
