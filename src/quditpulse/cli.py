@@ -311,17 +311,9 @@ def cmd_fit(args) -> int:
         out[gate_name] = {}
         for model in models:
             res = analysis.fit(points, model)
-            out[gate_name][model] = {
-                "a": res.a,
-                "b": res.b,
-                "c": res.c,
-                "std_errors": list(res.std_errors),
-                "r_squared": res.r_squared,
-                "degenerate": res.degenerate,
-                "evaluated": {
-                    str(d): analysis.evaluate_fit(res, d) for d in FIT_EVAL_RANGE
-                },
-            }
+            entry = {k: v for k, v in asdict(res).items() if k != "model"}
+            entry["evaluated"] = {str(d): analysis.evaluate_fit(res, d) for d in FIT_EVAL_RANGE}
+            out[gate_name][model] = entry
     write_json(args.out, out)
     print(f"wrote {args.out}")
     return EXIT_OK

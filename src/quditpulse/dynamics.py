@@ -69,10 +69,14 @@ STEPS_PER_NS_TWO = 40
 # Trajectory snapshots are thinned to at most this many stored steps.
 MAX_STORED_STEPS = 1000
 
-# Single-thread rule: every GEMM the sweeps issue has m * n * k below this.
+# Single-thread rule: the GEMMs the sweeps issue keep m * n * k below this.
 # OpenBLAS 0.3.31 (2-core Xeon) runs a zgemm from 65,536 on two threads:
 # (255 x 16) @ (16 x 16) took 24 us at cpu/wall 1.00, (256 x 16) @ (16 x 16)
 # 20 us at 1.95, so a second thread costs more CPU than it saves wall time.
+# ``_gemm`` chunks its rows to keep it at any size.  The per-step products,
+# n x n steps against h columns, or 2h rows where the reverse sweep rebuilds
+# states, keep it up to d=30 on one qudit and d=4 on two; at 2q d=5 the 2h
+# rows reach 120,050, and from 2q d=6 the h columns do too (147,456).
 GEMM_THREAD_BOUND = 65_536
 
 # Steps per block in both sweeps.  512-step blocks were no faster and, on
@@ -275,21 +279,22 @@ def propagate_sequence(
     q: np.ndarray,
     dt: float,
     initial: np.ndarray,
-    store: np.ndarray | None = None,
+    store: np.ndarray,
 ) -> tuple[np.ndarray, tuple | None]:
     """Apply the Strang steps defined by control samples p, q.
 
     ``p`` and ``q`` have shape (K, n_steps) and hold the control values at
     the step midpoints.  Returns (states, last): the states at the strictly
-    increasing step indices in ``store`` (default: final state only) as one
+    increasing step indices in ``store``, which must not be empty, as one
     array of shape (len(store),) + initial.shape, and the read-only
     ``step_unitaries`` build of the last block, for ``reverse_sequence``.
     """
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise PropagationError("controls produced non-finite values")
     n_steps = p.shape[1]
-    wanted = np.asarray([n_steps] if store is None else store, dtype=int)
-    if np.any(np.diff(wanted) <= 0) or not 0 <= wanted[0] <= wanted[-1] <= n_steps:
+    wanted = np.asarray(store, dtype=int)
+    if (wanted.size == 0 or np.any(np.diff(wanted) <= 0)
+            or not 0 <= wanted[0] <= wanted[-1] <= n_steps):
         raise ValueError("store must be strictly increasing step indices")
     states = np.empty((len(wanted),) + np.shape(initial), dtype=complex)
     half = _drift_exponential(split, 0.5 * dt)
@@ -481,7 +486,6 @@ def propagate(
     params: PulseParams,
     steps_per_ns: int | None = None,
     store_trajectory: bool = True,
-    initial_states: np.ndarray | None = None,
 ) -> Trajectory:
     """Evolve the essential basis columns under drift plus controls.
 
@@ -495,8 +499,7 @@ def propagate(
         idx = stored_indices(n_steps)
     else:
         idx = np.asarray([0, n_steps])
-    initial = embed if initial_states is None else initial_states
-    states, _ = propagate_sequence(split, p, q, dt, initial, idx)
+    states, _ = propagate_sequence(split, p, q, dt, embed, idx)
     return Trajectory(
         times=idx * dt,
         states=states,

@@ -164,7 +164,7 @@ def search_resolution(claim_steps_per_ns: int) -> int:
 def _infidelity(sys: QuditSystem, params: PulseParams, target: GateSpec,
                 steps_per_ns: int) -> float:
     final = propagate(sys, params, steps_per_ns, store_trajectory=False).states[-1]
-    return trace_infidelity(final, embed_target(target, sys), sys.dim_essential)
+    return trace_infidelity(final, embed_target(target, sys))
 
 
 @dataclass(frozen=True)

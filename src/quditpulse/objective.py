@@ -66,8 +66,9 @@ class ObjectiveConfig:
             raise ValueError("error_threshold must lie in (0, 1)")
 
 
-def trace_infidelity(final_states: np.ndarray, v_embedded: np.ndarray, h: int) -> float:
-    """Global-phase-invariant distance 1 - |<V, U>|^2 / h^2 in [0, 1].
+def trace_infidelity(final_states: np.ndarray, v_embedded: np.ndarray) -> float:
+    """Global-phase-invariant distance 1 - |<V, U>|^2 / h^2 in [0, 1], with h
+    the number of columns of ``v_embedded``.
 
     Raises PropagationError unless the columns of ``final_states`` are
     orthonormal; only then is roundoff clipped into [0, 1].
@@ -81,7 +82,7 @@ def trace_infidelity(final_states: np.ndarray, v_embedded: np.ndarray, h: int) -
     if not dev <= ORTHONORMAL_TOL:
         raise PropagationError(f"final columns are not orthonormal (deviation {dev:.3e})")
     overlap = np.vdot(v_embedded, final_states)
-    return float(min(1.0, max(0.0, 1.0 - (abs(overlap) ** 2) / h**2)))
+    return float(min(1.0, max(0.0, 1.0 - (abs(overlap) ** 2) / v_embedded.shape[1]**2)))
 
 
 @lru_cache(maxsize=1)
@@ -139,7 +140,7 @@ def forward(
     idx, coef = _guard_weights(p.shape[1], dt, sys.dim_essential)
     states, last = propagate_sequence(split, p, q, dt, embed, idx)
     v_emb = embed_target(target, sys)
-    infid = trace_infidelity(states[-1], v_emb, sys.dim_essential)
+    infid = trace_infidelity(states[-1], v_emb)
     guard = float(coef @ guard_population_columns(states, mask).sum(axis=-1))
     total = infid + cfg.w_guard * guard + cfg.w_l2 * float(params.alpha @ params.alpha)
     overlap = np.vdot(v_emb, states[-1])
@@ -167,10 +168,9 @@ def objective_parts(
     params: PulseParams,
     target: GateSpec,
     cfg: ObjectiveConfig,
-    steps_per_ns: int | None = None,
 ) -> tuple[float, float, float]:
     """(total objective, trace infidelity, guard penalty) for one pulse."""
-    cache = forward(sys, params, target, cfg, steps_per_ns)
+    cache = forward(sys, params, target, cfg)
     return cache.total, cache.infidelity, cache.guard
 
 
@@ -179,9 +179,8 @@ def objective(
     params: PulseParams,
     target: GateSpec,
     cfg: ObjectiveConfig,
-    steps_per_ns: int | None = None,
 ) -> float:
-    total, _, _ = objective_parts(sys, params, target, cfg, steps_per_ns)
+    total, _, _ = objective_parts(sys, params, target, cfg)
     return total
 
 
@@ -190,10 +189,9 @@ def value_and_gradient(
     params: PulseParams,
     target: GateSpec,
     cfg: ObjectiveConfig,
-    steps_per_ns: int | None = None,
 ) -> tuple[float, float, float, np.ndarray]:
     """(total, infidelity, guard penalty, gradient) from one forward pass."""
-    cache = forward(sys, params, target, cfg, steps_per_ns)
+    cache = forward(sys, params, target, cfg)
     return cache.total, cache.infidelity, cache.guard, backward(cache)
 
 
@@ -202,16 +200,15 @@ def _fd_gradient(
     params: PulseParams,
     target: GateSpec,
     cfg: ObjectiveConfig,
-    steps_per_ns: int | None,
 ) -> np.ndarray:
     step = FD_STEP_FRACTION * params.alpha_max
     grad = np.zeros_like(params.alpha)
     for i in np.flatnonzero(~params.boundary_mask()):
         bumped = params.alpha.copy()
         bumped[i] = params.alpha[i] + step
-        plus = objective(sys, params.with_alpha(bumped), target, cfg, steps_per_ns)
+        plus = objective(sys, params.with_alpha(bumped), target, cfg)
         bumped[i] = params.alpha[i] - step
-        minus = objective(sys, params.with_alpha(bumped), target, cfg, steps_per_ns)
+        minus = objective(sys, params.with_alpha(bumped), target, cfg)
         grad[i] = (plus - minus) / (2.0 * step)
     return grad
 
@@ -221,12 +218,11 @@ def gradient(
     params: PulseParams,
     target: GateSpec,
     cfg: ObjectiveConfig,
-    steps_per_ns: int | None = None,
     method: str = "adjoint",
 ) -> np.ndarray:
     """Gradient of the total objective with respect to alpha."""
     if method == "adjoint":
-        return value_and_gradient(sys, params, target, cfg, steps_per_ns)[3]
+        return value_and_gradient(sys, params, target, cfg)[3]
     if method == "fd":
-        return _fd_gradient(sys, params, target, cfg, steps_per_ns)
+        return _fd_gradient(sys, params, target, cfg)
     raise ValueError(f"unknown gradient method {method!r}")

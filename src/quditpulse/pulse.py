@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .model import TWO_PI, QuditSystem, carrier_midpoint
+from .model import TWO_PI, QuditSystem
 
 
 class RefitError(RuntimeError):
@@ -109,11 +109,6 @@ def carrier_frequencies(
     return lab, rot
 
 
-def rotating_frame_frequency(sys: QuditSystem) -> float:
-    """Midpoint of the extreme lab carrier frequencies, in rad/ns."""
-    return carrier_midpoint(sys.omega, sys.xi, sys.d)
-
-
 def num_bsplines(T: float) -> int:
     """Spline count keeping the envelope density near one spline per 10 ns.
 
@@ -182,25 +177,18 @@ def sample_grid(N_b: int, T: float, carriers, t) -> SampleGrid:
 
 
 def eval_controls(params: PulseParams, t) -> tuple[np.ndarray, np.ndarray]:
-    """Rotating-frame control pair (p_k, q_k) at time(s) t, in rad/ns.
+    """Rotating-frame control pair (p_k, q_k) at times t, in rad/ns.
 
-    ``t`` is a time, an array of times or a ``SampleGrid`` built for
-    ``params``.  Returns arrays of shape (K,) for scalar t and (K, M)
-    otherwise.
+    ``t`` is an array of M times or a ``SampleGrid`` built for ``params``.
+    Returns two arrays of shape (K, M).
     """
-    if isinstance(t, SampleGrid):
-        grid, scalar = t, False
-    else:
-        grid, scalar = sample_grid(params.N_b, params.T, params.carriers, t), np.ndim(t) == 0
+    grid = t if isinstance(t, SampleGrid) else sample_grid(params.N_b, params.T, params.carriers, t)
     # einsum, not a BLAS product: at these shapes OpenBLAS runs threaded
     # and its workers then spin through the propagation that follows
     # (about 1.8x CPU per wall second on two cores, no wall-time gain).
     envelopes = np.einsum("kfb,mb->kfm", params.alpha_complex(), grid.basis)  # (K, N_f, M)
     total = np.sum(envelopes * grid.phases, axis=1)
-    p, q = total.real, total.imag
-    if scalar:
-        return p[:, 0], q[:, 0]
-    return p, q
+    return total.real, total.imag
 
 
 def controls_adjoint(params: PulseParams, grid: SampleGrid, sens) -> np.ndarray:

@@ -242,6 +242,10 @@ class TestFitCommand:
         assert quad["c"] == pytest.approx(5.0, abs=1e-8)
         assert set(quad["evaluated"]) == {str(d) for d in range(2, 9)}
         assert doc["X_d"]["linear"]["r_squared"] <= quad["r_squared"]
+        for entry in doc["X_d"].values():
+            assert list(entry) == ["a", "b", "c", "std_errors", "r_squared", "degenerate",
+                                   "evaluated"]
+        assert doc["X_d"]["linear"]["a"] is None and len(quad["std_errors"]) == 3
 
     def test_missing_file(self, tmp_path):
         code = main([

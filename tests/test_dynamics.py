@@ -11,6 +11,7 @@ from quditpulse.dynamics import (
     _group_size,
     default_steps_per_ns,
     guard_populations,
+    midpoint_controls,
     propagate,
     propagate_sequence,
     reverse_sequence,
@@ -60,11 +61,9 @@ class TestPropagate:
     def test_unitarity_36_levels(self):
         sys = transmon_system(num_qudits=2, d=4, guard=2)
         params = _random_pulse(sys, 4.0, 0.5, 0)
-        traj = propagate(
-            sys, params, initial_states=np.eye(36, dtype=complex),
-            store_trajectory=False,
-        )
-        u = traj.states[-1]
+        split, _, _ = system_operators(sys)
+        dt, _, p, q = midpoint_controls(sys, params, None)
+        u = propagate_sequence(split, p, q, dt, np.eye(36, dtype=complex), [p.shape[1]])[0][-1]
         assert np.max(np.abs(u.conj().T @ u - np.eye(36))) < 1e-10
 
     def test_step_doubling_order(self):
@@ -85,10 +84,10 @@ class TestPropagate:
         n_steps, dt = step_grid(params.T, 20)
         mid = (np.arange(n_steps) + 0.5) * dt
         p, q = eval_controls(params, mid)
-        forward = propagate_sequence(split, p, q, dt, embed)[0][-1]
+        forward = propagate_sequence(split, p, q, dt, embed, [n_steps])[0][-1]
         negated_drift = replace(split, drift_vals=-split.drift_vals)
         back = propagate_sequence(
-            negated_drift, -p[:, ::-1], -q[:, ::-1], dt, forward
+            negated_drift, -p[:, ::-1], -q[:, ::-1], dt, forward, [n_steps]
         )[0][-1]
         assert np.max(np.abs(back - embed)) < 1e-8
 
@@ -98,7 +97,15 @@ class TestPropagate:
         p = np.array([[np.nan, 0.0]])
         q = np.zeros_like(p)
         with pytest.raises(PropagationError):
-            propagate_sequence(split, p, q, 0.5, embed)
+            propagate_sequence(split, p, q, 0.5, embed, [2])
+
+    @pytest.mark.parametrize("store", [[], [2, 1], [1, 1], [0, 3], [-1, 2]])
+    def test_invalid_store_raises(self, store):
+        sys = transmon_system(num_qudits=1, d=2, guard=1)
+        split, embed, _ = system_operators(sys)
+        p = np.zeros((1, 2))
+        with pytest.raises(ValueError, match="store must be strictly increasing"):
+            propagate_sequence(split, p, p, 0.5, embed, store)
 
     def test_steps_per_ns_validation(self):
         sys = transmon_system(num_qudits=1, d=2, guard=1)
@@ -173,8 +180,7 @@ class TestStrangStep:
             params = _random_pulse(sys, T, 0.3, seed)
             infid = [
                 trace_infidelity(
-                    propagate(sys, params, n, store_trajectory=False).states[-1],
-                    target, sys.dim_essential,
+                    propagate(sys, params, n, store_trajectory=False).states[-1], target
                 )
                 for n in (None, 640)
             ]

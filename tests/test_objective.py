@@ -98,14 +98,14 @@ class TestTraceInfidelity:
     def test_perfect_gate(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
         v_emb = embed_target(gate("H_d", 3), sys)
-        assert trace_infidelity(v_emb, v_emb, 3) == 0.0
+        assert trace_infidelity(v_emb, v_emb) == 0.0
 
     def test_global_phase_invariance(self):
         sys = transmon_system(num_qudits=1, d=3, guard=1)
         v_emb = embed_target(gate("T_d", 3), sys)
         rng = np.random.default_rng(0)
         for phase in rng.uniform(0, 2 * np.pi, 100):
-            j = trace_infidelity(np.exp(1j * phase) * v_emb, v_emb, 3)
+            j = trace_infidelity(np.exp(1j * phase) * v_emb, v_emb)
             assert j < 1e-12
 
     def test_orthogonal_target(self):
@@ -113,7 +113,7 @@ class TestTraceInfidelity:
         identity = embed_target(GateSpec("I", 2, np.eye(2)), sys)
         z_states = embed_target(gate("Z_d", 2), sys)
         # Tr(Z) = 0, so overlap with the identity vanishes entirely
-        assert trace_infidelity(z_states, identity, 2) == 1.0
+        assert trace_infidelity(z_states, identity) == 1.0
 
     def test_range(self):
         rng = np.random.default_rng(7)
@@ -121,7 +121,7 @@ class TestTraceInfidelity:
         v_emb = embed_target(gate("X_d", 2), sys)
         for seed in range(5):
             traj = propagate(sys, _random_pulse(sys, 15.0, 1.0, seed))
-            j = trace_infidelity(traj.states[-1], v_emb, 2)
+            j = trace_infidelity(traj.states[-1], v_emb)
             assert 0.0 <= j <= 1.0
 
     def test_non_orthonormal_columns_raise(self):
@@ -129,17 +129,17 @@ class TestTraceInfidelity:
         v_emb = embed_target(gate("X_d", 2), sys)
         for bad in (1.001 * v_emb, np.full_like(v_emb, np.nan)):
             with pytest.raises(PropagationError):
-                trace_infidelity(bad, v_emb, 2)
+                trace_infidelity(bad, v_emb)
 
     def test_roundoff_clipped_into_range(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         v_emb = embed_target(gate("X_d", 2), sys)
         # |<V, U>|^2 / h^2 = (1 + 1e-12)^2 > 1: roundoff, not a fault
-        assert trace_infidelity((1 + 1e-12) * v_emb, v_emb, 2) == 0.0
+        assert trace_infidelity((1 + 1e-12) * v_emb, v_emb) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            trace_infidelity(np.zeros((4, 2)), np.zeros((3, 2)), 2)
+            trace_infidelity(np.zeros((4, 2)), np.zeros((3, 2)))
 
 
 class TestGuardPenalty:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from quditpulse.model import transmon_system
+from quditpulse.model import carrier_midpoint, transmon_system
 from quditpulse.pulse import (
     PulseParams,
     alpha_bound,
@@ -17,7 +17,6 @@ from quditpulse.pulse import (
     pulse_from_doc,
     random_guess,
     refit,
-    rotating_frame_frequency,
     sample_grid,
     save_pulse,
 )
@@ -35,18 +34,19 @@ class TestCarriers:
             assert np.allclose(
                 np.array(ctrl) / TWO_PI, [0.065, -0.265, 0.265, -0.065], atol=1e-12
             )
-        assert rotating_frame_frequency(sys) / TWO_PI == pytest.approx(4.849, abs=1e-12)
+        midpoint = carrier_midpoint(sys.omega, sys.xi, sys.d)
+        assert midpoint / TWO_PI == pytest.approx(4.849, abs=1e-12)
 
     def test_single_qubit_single_carrier(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         lab, rot = carrier_frequencies(sys)
         assert lab == [[sys.omega[0]]]
         assert rot[0][0] == pytest.approx(0.0, abs=1e-15)
-        assert rotating_frame_frequency(sys) == pytest.approx(sys.omega[0])
+        assert carrier_midpoint(sys.omega, sys.xi, sys.d) == pytest.approx(sys.omega[0])
 
     def test_single_qudit_d4_midpoint(self):
         sys = transmon_system(num_qudits=1, d=4, guard=2)
-        assert rotating_frame_frequency(sys) == pytest.approx(
+        assert carrier_midpoint(sys.omega, sys.xi, sys.d) == pytest.approx(
             sys.omega[0] + sys.xi[0]
         )
 
@@ -60,7 +60,7 @@ class TestCarriers:
     def test_default_rotating_frame_matches_operation(self, num_qudits, d):
         sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
         assert sys.omega_rot == pytest.approx(
-            rotating_frame_frequency(sys), abs=1e-15
+            carrier_midpoint(sys.omega, sys.xi, sys.d), abs=1e-15
         )
 
 
@@ -152,11 +152,11 @@ class TestEvalControls:
         assert np.allclose(p12, p1 + p2, atol=1e-12)
         assert np.allclose(q12, q1 + q2, atol=1e-12)
 
-    def test_scalar_time(self):
+    def test_one_time(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         params = default_params(sys, 20.0)
-        p, q = eval_controls(params, 10.0)
-        assert p.shape == (1,) and q.shape == (1,)
+        p, q = eval_controls(params, np.array([10.0]))
+        assert p.shape == (1, 1) and q.shape == (1, 1)
 
     @pytest.mark.parametrize("num_qudits", [1, 2])
     def test_adjoint_dot_product(self, num_qudits):
@@ -178,7 +178,7 @@ class TestLabFrame:
     def test_zero_controls(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         params = default_params(sys, 20.0)
-        assert np.all(lab_frame_control(params, sys.omega_rot, 5.0) == 0.0)
+        assert np.all(lab_frame_control(params, sys.omega_rot, np.array([5.0])) == 0.0)
 
     def test_zero_rotation_is_twice_p(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
