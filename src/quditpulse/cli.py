@@ -3,8 +3,9 @@ fits, and plot-ready CSV exports.
 
 All structured artifacts are JSON, tabular data is CSV, and every command
 is deterministic for a fixed config seed (outputs carry no timestamps).
-Exit codes: 0 success, 1 validation or I/O error, 2 search failed,
-3 numeric abort.
+Exit codes: 0 success, 1 validation or I/O error, 2 search failed (for
+``optimize``, a run that did not converge or whose pulse failed the
+certificate), 3 numeric abort.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .model import (
     transmon_system,
 )
 from .objective import ObjectiveConfig
-from .optimize import OptimizerAbort, minimize
+from .optimize import OptimizerAbort
 from .pulse import default_params, load_pulse, random_guess, save_pulse, write_json
 
 EXIT_OK = 0
@@ -157,14 +158,9 @@ def cmd_optimize(args) -> int:
     target = gate(args.gate, args.d)
     params = default_params(system, args.T)
     params = params.with_alpha(random_guess(params, cfg.guess_scale, cfg.seed))
-    result = minimize(
-        system, params, target, cfg.objective,
-        max_iter=cfg.max_iter, steps_per_ns=cfg.steps_per_ns,
-    )
-    save_pulse(
-        args.out, system, params.with_alpha(result.alpha_final), result.fidelity,
-        {"gate": args.gate, "d": args.d, "seed": cfg.seed},
-    )
+    result = _optimizer(cfg, None)(system, params, target)
+    save_pulse(args.out, system, params.with_alpha(result.alpha_final), result.fidelity,
+               {"gate": args.gate, "d": args.d, "seed": cfg.seed})
     _write_csv(args.log or str(args.out) + ".iters.csv",
                ["iteration", "objective", "infidelity", "guard_penalty", "step_size"],
                result.history)

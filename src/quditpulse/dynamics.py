@@ -73,10 +73,10 @@ MAX_STORED_STEPS = 1000
 # OpenBLAS 0.3.31 (2-core Xeon) runs a zgemm from 65,536 on two threads:
 # (255 x 16) @ (16 x 16) took 24 us at cpu/wall 1.00, (256 x 16) @ (16 x 16)
 # 20 us at 1.95, so a second thread costs more CPU than it saves wall time.
-# ``_gemm`` chunks its rows to keep it at any size.  The per-step products,
-# n x n steps against h columns, or 2h rows where the reverse sweep rebuilds
-# states, keep it up to d=30 on one qudit and d=4 on two; at 2q d=5 the 2h
-# rows reach 120,050, and from 2q d=6 the h columns do too (147,456).
+# ``_gemm`` chunks its rows to keep it at any size.  The per-step products of
+# n x n steps and h rows or columns keep it up to d=38 on one qudit and d=5 on
+# two, as the reverse sweep splits its 2h rebuild rows in two where they reach
+# it (120,050 at 2q d=5).  From 2q d=6 the h columns do too (147,456).
 GEMM_THREAD_BOUND = 65_536
 
 # Steps per block in both sweeps.  512-step blocks were no faster and, on
@@ -377,7 +377,9 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
     coef[store] = weights
     final = states[-1].conj().T
     mu = lam.conj().T + coef[n_steps] * (final * mask)
-    mu = (np.concatenate([mu, final]) if rebuild else mu) @ half
+    mu = _gemm(np.concatenate([mu, final]) if rebuild else mu, half)
+    big = rebuild and 2 * h * half.size >= GEMM_THREAD_BOUND
+    halves = [slice(h), slice(h, None)] if big else [slice(None)]
     lower = np.empty((n_q, n_steps), dtype=complex)
     upper = np.empty((n_q, n_steps), dtype=complex)
 
@@ -408,7 +410,8 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
             for i in range(size - 1, -1, -1):
                 if start + i + 1 in restart:
                     mus[i + 1, h:] = restart[start + i + 1]
-                np.matmul(mus[i + 1], steps[i], out=mus[i])
+                for part in halves:
+                    np.matmul(mus[i + 1, part], steps[i], out=mus[i, part])
                 if coef[start + i]:
                     mus[i, :h] += injected[i]
             return qudits

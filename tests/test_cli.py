@@ -5,9 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from quditpulse import ipr as ipr_mod
 from quditpulse.cli import build_system, load_config, main
-from quditpulse.dynamics import INTEGRATOR
-from quditpulse.model import transmon_system
+from quditpulse.dynamics import INTEGRATOR, default_steps_per_ns, propagate
+from quditpulse.model import embed_target, gate, transmon_system
+from quditpulse.objective import trace_infidelity
+from quditpulse.optimize import OptResult
 from quditpulse.pulse import (
     default_params,
     eval_controls,
@@ -96,6 +99,69 @@ class TestOptimizeCommand:
         assert code == 0
         assert log.exists()
         assert "reason=converged" in capsys.readouterr().out
+
+    def test_stored_fidelity_is_the_certificate(self, tmp_path):
+        # The claim rule of ipr and sweep: 1 - max of the infidelities at the
+        # claim resolution and at twice it, recomputed from the saved pulse.
+        cfg = _write_config(tmp_path / "cfg.json", seed=0)
+        out = tmp_path / "pulse.json"
+        assert main([
+            "optimize", "--config", cfg, "--gate", "X_d", "--d", "2",
+            "--T", "30", "--out", str(out),
+        ]) == 0
+        system, params, fidelity, _ = load_pulse(out)
+        target = embed_target(gate("X_d", 2), system)
+        claim = default_steps_per_ns(system)
+        values = [trace_infidelity(propagate(system, params, res,
+                                             store_trajectory=False).states[-1], target)
+                  for res in (claim, 2 * claim)]
+        assert fidelity == 1.0 - max(values)
+
+    def test_uncertified_pulse_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Passes at the claim resolution, fails at twice it.
+        monkeypatch.setattr(ipr_mod.StandardOptimizer, "certificate",
+                            lambda self, sys, params, target, claim: [5e-4, 2e-3])
+        cfg = _write_config(tmp_path / "cfg.json", seed=0)
+        out = tmp_path / "pulse.json"
+        assert main([
+            "optimize", "--config", cfg, "--gate", "X_d", "--d", "2",
+            "--T", "30", "--out", str(out),
+        ]) == 2
+        assert "converged=False reason=uncertified" in capsys.readouterr().out
+        assert load_pulse(out)[2] == 1.0 - 2e-3
+
+    def test_log_holds_the_coarse_then_the_continuation_rows(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # A coarse run converges but misses at the claim resolution (20
+        # steps/ns), so a second run continues there; each numbers its rows
+        # from 1.  The fakes tag each run's pulse by its coefficient 2, which no
+        # boundary spline pins.
+        histories = [[(1, 0.3, 0.2, 0.0, 1.0), (2, 0.1, 0.05, 0.0, 0.5)],
+                     [(1, 0.01, 6e-4, 0.0, 1.0)]]
+        tags = [0.01, 0.02]
+        infidelity = {(0.01, 20): 2e-3, (0.02, 20): 6e-4, (0.02, 40): 7e-4}
+        resolutions = []
+
+        def fake_minimize(sys, params, target, cfg, max_iter, steps_per_ns):
+            alpha = params.alpha.copy()
+            alpha[2] = tags[len(resolutions)]
+            history = histories[len(resolutions)]
+            resolutions.append(steps_per_ns)
+            return OptResult(alpha, 1.0, history, len(history), "converged", 1, 1)
+
+        monkeypatch.setattr(ipr_mod, "minimize", fake_minimize)
+        monkeypatch.setattr(ipr_mod, "_infidelity", lambda sys, params, target, res:
+                            infidelity[(float(params.alpha[2]), res)])
+        out = tmp_path / "pulse.json"
+        assert main([
+            "optimize", "--gate", "X_d", "--d", "2", "--T", "30", "--out", str(out),
+        ]) == 0
+        assert resolutions == [5, 20]
+        with open(str(out) + ".iters.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows == [[str(x) for x in row] for row in histories[0] + histories[1]]
+        assert f"iterations={len(rows)} " in capsys.readouterr().out
+        assert load_pulse(out)[2] == 1.0 - 7e-4
 
 
 class TestIprCommand:

@@ -302,7 +302,7 @@ class TestFactorKernels:
                                                      coef[store], mask, last)))
         assert np.max(np.abs(grads[1] - grads[0])) <= 2e-14 * np.max(np.abs(grads[0]))
 
-    @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
+    @pytest.mark.parametrize("num_qudits, d", SYSTEMS + [(2, 5)])
     def test_every_gemm_stays_on_one_blas_thread(self, num_qudits, d, monkeypatch):
         # Both sweeps over a short first block and a full one, with every
         # state stored and with the states between every 4th rebuilt; every
