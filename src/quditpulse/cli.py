@@ -158,9 +158,11 @@ def cmd_optimize(args) -> int:
     target = gate(args.gate, args.d)
     params = default_params(system, args.T)
     params = params.with_alpha(random_guess(params, cfg.guess_scale, cfg.seed))
-    result = _optimizer(cfg, None)(system, params, target)
+    optimizer = _optimizer(cfg, None)
+    result = optimizer(system, params, target)
     save_pulse(args.out, system, params.with_alpha(result.alpha_final), result.fidelity,
-               {"gate": args.gate, "d": args.d, "seed": cfg.seed})
+               {"gate": args.gate, "d": args.d, "seed": cfg.seed},
+               optimizer.resolutions(system)[1])
     _write_csv(args.log or str(args.out) + ".iters.csv",
                ["iteration", "objective", "infidelity", "guard_penalty", "step_size"],
                result.history)
@@ -205,7 +207,8 @@ def _ipr_result_doc(
     if result.succeeded:
         best = default_params(system, result.T_best).with_alpha(result.alpha_best)
         doc["best_pulse"] = pulse_mod.pulse_doc(
-            system, best, result.fidelity_best, {"gate": gate_name}
+            system, best, result.fidelity_best, {"gate": gate_name},
+            _optimizer(run_cfg, None).resolutions(system)[1],
         )
     return doc
 

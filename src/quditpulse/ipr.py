@@ -23,11 +23,10 @@ search-grid infidelity: the real optimizer's ``fidelity`` is the certificate's.
 
 The optimizer is injected as a callable so the state machine can be driven
 by mocks in tests.  The real one, ``StandardOptimizer``, searches on a
-coarse grid and claims on the fine one: ``minimize`` runs at
-1/``SEARCH_DIVISOR`` of the claim resolution (the ``steps_per_ns`` it is
-given, else ``dynamics.default_steps_per_ns``), and its result counts only
-if a certificate holds: the infidelity, recomputed by ``propagate``, is
-below the threshold at the claim resolution and at twice it.  The reported
+coarse grid and claims on a fine one, both from ``dynamics.resolutions``
+(``steps_per_ns`` overrides the claim, and the search is at most the claim).
+A result counts only if a certificate holds: the infidelity, recomputed by
+``propagate``, is below the threshold at the claim resolution and at twice it.  The reported
 fidelity is ``1 - max`` of the certificate's values.  A coarse run that
 converged but misses the threshold at the claim resolution continues there
 from its own ``alpha``; the attempt's history and counts cover both runs.  A
@@ -48,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dynamics import default_steps_per_ns, propagate
+from .dynamics import propagate, resolutions
 from .model import GateSpec, QuditSystem, embed_target
 from .objective import ObjectiveConfig, trace_infidelity
 from .optimize import OptResult, minimize
@@ -60,12 +59,6 @@ PARENT_POLL_S = 0.5
 
 # multi_run draws each start duration uniformly from [LOW, HIGH] * t_ref.
 START_SAMPLE_LOW, START_SAMPLE_HIGH = 0.8, 1.2
-
-# The search resolution is the claim resolution divided by this.  At 1/4 of
-# the default resolution the Strang step moves the infidelity of a 1q d=2,
-# 100 ns pulse at 0.3*alpha_max by 2.7e-5 against 640 steps/ns, far inside
-# the 1e-3 threshold; the certificate catches any pulse where it is not.
-SEARCH_DIVISOR = 4
 
 # Restarts of one search from a fresh random guess.
 MAX_RESTARTS = 5
@@ -156,11 +149,6 @@ def meets_threshold(fidelity: float, error_threshold: float) -> bool:
     return 1.0 - fidelity < error_threshold
 
 
-def search_resolution(claim_steps_per_ns: int) -> int:
-    """Steps per ns the search optimizes at, for a claim resolution."""
-    return max(1, claim_steps_per_ns // SEARCH_DIVISOR)
-
-
 def _infidelity(sys: QuditSystem, params: PulseParams, target: GateSpec,
                 steps_per_ns: int) -> float:
     final = propagate(sys, params, steps_per_ns, store_trajectory=False).states[-1]
@@ -185,6 +173,13 @@ class StandardOptimizer:
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
 
+    def resolutions(self, sys: QuditSystem) -> tuple[int, int]:
+        """(search, claim) steps per ns: the rule's, with ``steps_per_ns`` as
+        the claim if set and the search at most the claim."""
+        search, claim = resolutions(sys, self.cfg.error_threshold)
+        claim = self.steps_per_ns or claim
+        return min(search, claim), claim
+
     def certificate(self, sys: QuditSystem, params: PulseParams,
                     target: GateSpec, claim: int) -> list[float]:
         """Infidelity at the claim resolution and, only if that passes, at 2x it."""
@@ -194,11 +189,11 @@ class StandardOptimizer:
         return values
 
     def __call__(self, sys: QuditSystem, params: PulseParams, target: GateSpec) -> OptResult:
-        claim = default_steps_per_ns(sys) if self.steps_per_ns is None else self.steps_per_ns
+        search, claim = self.resolutions(sys)
         runs: list[OptResult] = []
         # Continue at the claim resolution (not again if it is the search's) only
         # after a converged run that misses there; from a pass, minimize stops at once.
-        for resolution in dict.fromkeys((search_resolution(claim), claim)):
+        for resolution in dict.fromkeys((search, claim)):
             result = minimize(sys, params, target, self.cfg, self.max_iter, resolution)
             runs.append(result)
             params = params.with_alpha(result.alpha_final)

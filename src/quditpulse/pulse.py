@@ -278,13 +278,14 @@ def refit(params: PulseParams, T_new: float) -> PulseParams:
 
 
 def pulse_doc(sys: QuditSystem, params: PulseParams, fidelity: float,
-              metadata: dict | None = None) -> dict:
+              metadata: dict | None = None, steps_per_ns: int | None = None) -> dict:
     """JSON-serializable pulse document (floats round-trip exactly).
 
-    ``metadata`` gains the tool version and the integrator name, because
-    stored fidelities depend on the integrator.
+    ``metadata`` gains the tool version, the integrator name and the claim
+    resolution ``steps_per_ns`` (default ``dynamics.default_steps_per_ns``),
+    because stored fidelities depend on both.
     """
-    from .dynamics import INTEGRATOR  # dynamics imports this module
+    from .dynamics import INTEGRATOR, default_steps_per_ns  # dynamics imports this module
 
     return {
         "system": {
@@ -302,7 +303,8 @@ def pulse_doc(sys: QuditSystem, params: PulseParams, fidelity: float,
         "alpha": params.alpha.tolist(),
         "alpha_max": params.alpha_max,
         "fidelity": fidelity,
-        "metadata": dict(metadata or {}, tool_version=__version__, integrator=INTEGRATOR),
+        "metadata": dict(metadata or {}, tool_version=__version__, integrator=INTEGRATOR,
+                         steps_per_ns=steps_per_ns or default_steps_per_ns(sys)),
     }
 
 
@@ -353,9 +355,9 @@ def write_json(path, doc) -> None:
 
 
 def save_pulse(path, sys: QuditSystem, params: PulseParams, fidelity: float,
-               metadata: dict | None = None) -> None:
+               metadata: dict | None = None, steps_per_ns: int | None = None) -> None:
     """Write a pulse and its system to JSON."""
-    write_json(path, pulse_doc(sys, params, fidelity, metadata))
+    write_json(path, pulse_doc(sys, params, fidelity, metadata, steps_per_ns))
 
 
 def load_pulse(path) -> tuple[QuditSystem, PulseParams, float, dict]:

@@ -14,6 +14,7 @@ from quditpulse.dynamics import (
     midpoint_controls,
     propagate,
     propagate_sequence,
+    resolutions,
     system_operators,
 )
 from quditpulse.ipr import (
@@ -23,8 +24,8 @@ from quditpulse.ipr import (
     standard_optimizer,
     threshold_mock_optimizer,
 )
-from quditpulse.model import gate, transmon_system
-from quditpulse.objective import ObjectiveConfig, gradient
+from quditpulse.model import embed_target, gate, transmon_system
+from quditpulse.objective import ObjectiveConfig, gradient, trace_infidelity
 from quditpulse.optimize import minimize
 from quditpulse.pulse import default_params, eval_controls, random_guess, refit
 
@@ -216,3 +217,20 @@ def test_criterion_10_guard_suppression(x2_converged):
     assert result.fidelity >= 0.999
     traj = propagate(sys, converged_params)
     assert np.max(guard_populations(traj)) <= 5e-3
+
+
+def test_x2_converged_within_the_resolution_budgets(x2_converged):
+    # The claim and search budgets of dynamics.resolutions: the infidelity
+    # at each resolution differs from its 640 steps/ns value by at most
+    # threshold/100 and threshold/20.
+    sys, params, _ = x2_converged
+    target = embed_target(gate("X_d", 2), sys)
+    search, claim = resolutions(sys, 1e-3)
+
+    def infidelity(steps_per_ns):
+        final = propagate(sys, params, steps_per_ns, store_trajectory=False).states[-1]
+        return trace_infidelity(final, target)
+
+    reference = infidelity(640)
+    assert abs(infidelity(claim) - reference) <= 1e-5
+    assert abs(infidelity(search) - reference) <= 5e-5

@@ -7,7 +7,7 @@ import pytest
 
 from quditpulse import ipr as ipr_mod
 from quditpulse.cli import build_system, load_config, main
-from quditpulse.dynamics import INTEGRATOR, default_steps_per_ns, propagate
+from quditpulse.dynamics import INTEGRATOR, default_steps_per_ns, propagate, resolutions
 from quditpulse.model import embed_target, gate, transmon_system
 from quditpulse.objective import trace_infidelity
 from quditpulse.optimize import OptResult
@@ -109,13 +109,23 @@ class TestOptimizeCommand:
             "optimize", "--config", cfg, "--gate", "X_d", "--d", "2",
             "--T", "30", "--out", str(out),
         ]) == 0
-        system, params, fidelity, _ = load_pulse(out)
+        system, params, fidelity, meta = load_pulse(out)
         target = embed_target(gate("X_d", 2), system)
         claim = default_steps_per_ns(system)
+        assert meta["steps_per_ns"] == claim
         values = [trace_infidelity(propagate(system, params, res,
                                              store_trajectory=False).states[-1], target)
                   for res in (claim, 2 * claim)]
         assert fidelity == 1.0 - max(values)
+
+    def test_pulse_records_the_claim_override(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json", integrator={"steps_per_ns": 24})
+        out = tmp_path / "pulse.json"
+        assert main([
+            "optimize", "--config", cfg, "--gate", "X_d", "--d", "2",
+            "--T", "30", "--out", str(out),
+        ]) == 0
+        assert load_pulse(out)[3]["steps_per_ns"] == 24
 
     def test_uncertified_pulse_exits_2(self, tmp_path, capsys, monkeypatch):
         # Passes at the claim resolution, fails at twice it.
@@ -132,21 +142,22 @@ class TestOptimizeCommand:
 
     def test_log_holds_the_coarse_then_the_continuation_rows(self, tmp_path, capsys,
                                                              monkeypatch):
-        # A coarse run converges but misses at the claim resolution (20
-        # steps/ns), so a second run continues there; each numbers its rows
-        # from 1.  The fakes tag each run's pulse by its coefficient 2, which no
-        # boundary spline pins.
+        # A coarse run converges but misses at the claim resolution, so a
+        # second run continues there; each numbers its rows from 1.  The fakes
+        # tag each run's pulse by its coefficient 2, which no boundary spline
+        # pins.
+        search, claim = resolutions(transmon_system(num_qudits=1, d=2, guard=2), 1e-3)
         histories = [[(1, 0.3, 0.2, 0.0, 1.0), (2, 0.1, 0.05, 0.0, 0.5)],
                      [(1, 0.01, 6e-4, 0.0, 1.0)]]
         tags = [0.01, 0.02]
-        infidelity = {(0.01, 20): 2e-3, (0.02, 20): 6e-4, (0.02, 40): 7e-4}
-        resolutions = []
+        infidelity = {(0.01, claim): 2e-3, (0.02, claim): 6e-4, (0.02, 2 * claim): 7e-4}
+        calls = []
 
         def fake_minimize(sys, params, target, cfg, max_iter, steps_per_ns):
             alpha = params.alpha.copy()
-            alpha[2] = tags[len(resolutions)]
-            history = histories[len(resolutions)]
-            resolutions.append(steps_per_ns)
+            alpha[2] = tags[len(calls)]
+            history = histories[len(calls)]
+            calls.append(steps_per_ns)
             return OptResult(alpha, 1.0, history, len(history), "converged", 1, 1)
 
         monkeypatch.setattr(ipr_mod, "minimize", fake_minimize)
@@ -156,7 +167,7 @@ class TestOptimizeCommand:
         assert main([
             "optimize", "--gate", "X_d", "--d", "2", "--T", "30", "--out", str(out),
         ]) == 0
-        assert resolutions == [5, 20]
+        assert calls == [search, claim]
         with open(str(out) + ".iters.csv") as fh:
             rows = list(csv.reader(fh))[1:]
         assert rows == [[str(x) for x in row] for row in histories[0] + histories[1]]
@@ -224,6 +235,7 @@ class TestIprCommand:
         assert load_config(str(run_config)) == load_config(str(cfg))
         assert main(argv + ["--config", str(run_config), "--out", str(again)]) == 0
         assert again.read_bytes() == first.read_bytes()
+        assert json.loads(first.read_text())["best_pulse"]["metadata"]["steps_per_ns"] == 24
 
 
 class TestSweepCommand:
@@ -380,7 +392,7 @@ class TestSimulateCommand:
         pulse_path = tmp_path / "pulse.json"
         save_pulse(pulse_path, sys, default_params(sys, 10.0), 0.5, {"gate": "X_d"})
         doc = json.loads(pulse_path.read_text())
-        del doc["metadata"]["integrator"]
+        del doc["metadata"]["integrator"], doc["metadata"]["steps_per_ns"]
         pulse_path.write_text(json.dumps(doc))
         sys2, params, fidelity, meta = load_pulse(pulse_path)
         assert sys2 == sys and params.T == 10.0 and fidelity == 0.5

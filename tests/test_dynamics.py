@@ -6,6 +6,7 @@ import pytest
 from quditpulse import dynamics
 from quditpulse.dynamics import (
     BLOCK,
+    MIN_STEPS_PER_NS,
     PropagationError,
     _gemm,
     _group_size,
@@ -14,6 +15,7 @@ from quditpulse.dynamics import (
     midpoint_controls,
     propagate,
     propagate_sequence,
+    resolutions,
     reverse_sequence,
     step_grid,
     step_unitaries,
@@ -113,8 +115,15 @@ class TestPropagate:
             propagate(sys, default_params(sys, 10.0), steps_per_ns=0)
 
     def test_default_resolution(self):
-        assert default_steps_per_ns(transmon_system(num_qudits=1, d=2)) == 20
-        assert default_steps_per_ns(transmon_system(num_qudits=2, d=2)) == 40
+        for num_qudits in (1, 2):
+            sys = transmon_system(num_qudits=num_qudits, d=2)
+            assert default_steps_per_ns(sys) == resolutions(sys, 1e-3)[1]
+
+    @pytest.mark.parametrize("threshold", [1e-2, 1e-3, 1e-4])
+    def test_search_at_most_claim_on_every_system(self, threshold):
+        for num_qudits, d in SYSTEMS + [(1, 12), (2, 5)]:
+            search, claim = resolutions(transmon_system(num_qudits, d, guard=2), threshold)
+            assert MIN_STEPS_PER_NS <= search <= claim
 
 
 SYSTEMS = [(1, d) for d in range(2, 9)] + [(2, 2), (2, 3)]

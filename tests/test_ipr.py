@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 
 import quditpulse.ipr as ipr_mod
+from quditpulse.dynamics import resolutions
 from quditpulse.ipr import (
     IPRConfig,
     ipr_run,
     multi_run,
     nearest_power_of_two_step,
-    search_resolution,
     standard_optimizer,
     threshold_mock_optimizer,
 )
@@ -519,16 +519,24 @@ class TestCertificate:
         with pytest.raises(ValueError, match=next(iter(fields))):
             standard_optimizer(**fields)
 
-    def test_resolutions(self):
-        assert search_resolution(20) == 5
-        assert search_resolution(40) == 10
-        assert search_resolution(1) == 1
-        assert search_resolution(3) == 1
+    def test_resolutions(self, x2):
+        # The rule at the objective's threshold; steps_per_ns overrides the
+        # claim, and the search is the rule's or the override, the smaller.
+        sys = x2[0]
+        search, claim = resolutions(sys, 1e-3)
+        assert standard_optimizer().resolutions(sys) == (search, claim)
+        tight = standard_optimizer(ObjectiveConfig(error_threshold=1e-4))
+        assert tight.resolutions(sys) == resolutions(sys, 1e-4)
+        assert standard_optimizer(steps_per_ns=claim + 7).resolutions(sys) == (search, claim + 7)
+        below = standard_optimizer(steps_per_ns=search - 1)
+        assert below.resolutions(sys) == (search - 1, search - 1)
+        assert standard_optimizer(steps_per_ns=1).resolutions(sys) == (1, 1)
 
-    @pytest.mark.parametrize("num_qudits, gate_name, search, claim",
-                             [(1, "X_d", 5, 20), (2, "CNOT", 10, 40)])
-    def test_default_resolutions(self, monkeypatch, num_qudits, gate_name, search, claim):
+    @pytest.mark.parametrize("num_qudits, gate_name", [(1, "X_d"), (2, "CNOT")])
+    def test_default_resolutions(self, monkeypatch, num_qudits, gate_name):
         sys = transmon_system(num_qudits=num_qudits, d=2, guard=2)
+        search, claim = resolutions(sys, 1e-3)
+        assert search < claim
         params = default_params(sys, 20.0)
         fake = _FakeSearch(monkeypatch, [_converged(0.01, params.alpha.size, 5, 2)],
                            {(0.01, claim): 4e-4, (0.01, 2 * claim): 5e-4})
@@ -555,16 +563,17 @@ class TestCertificate:
                                      history=[(1, 0.3, 0.2, 0.0, 1.0), (2, 0.1, 0.05, 0.0, 0.5)])
         fine = dataclasses.replace(_converged(0.02, params.alpha.size, 4, 2),
                                    history=[(1, 0.01, 6e-4, 0.0, 1.0)])
+        search, claim = resolutions(sys, 1e-3)
         fake = _FakeSearch(monkeypatch, [coarse, fine], {
-            (0.01, 20): 2e-3,  # converged on the coarse grid, misses on the claim grid
-            (0.02, 20): 6e-4,
-            (0.02, 40): 7e-4,
+            (0.01, claim): 2e-3,  # converged on the coarse grid, misses on the claim grid
+            (0.02, claim): 6e-4,
+            (0.02, 2 * claim): 7e-4,
         })
         result = standard_optimizer()(sys, params, target)
         (alpha_coarse, res_coarse), (alpha_warm, res_warm) = fake.minimize_calls
-        assert res_coarse == 5 and np.array_equal(alpha_coarse, params.alpha)
-        assert res_warm == 20 and np.array_equal(alpha_warm, coarse.alpha_final)
-        assert fake.propagations == [20, 20, 40]
+        assert res_coarse == search and np.array_equal(alpha_coarse, params.alpha)
+        assert res_warm == claim and np.array_equal(alpha_warm, coarse.alpha_final)
+        assert fake.propagations == [claim, claim, 2 * claim]
         assert result.n_forward == 11 and result.n_gradient == 5
         assert result.history == coarse.history + fine.history
         assert result.iterations == coarse.iterations + fine.iterations == 3
@@ -575,12 +584,13 @@ class TestCertificate:
     def test_pass_at_claim_fail_at_double_is_no_success(self, monkeypatch, x2):
         sys, params, target = x2
         monkeypatch.setattr(ipr_mod, "MAX_ATTEMPTS", 1)
+        search, claim = resolutions(sys, 1e-3)
         fake = _FakeSearch(monkeypatch, [_converged(0.01, params.alpha.size, 5, 2)],
-                           {(0.01, 20): 5e-4, (0.01, 40): 2e-3})
+                           {(0.01, claim): 5e-4, (0.01, 2 * claim): 2e-3})
         cfg = IPRConfig(T_start=20.0, step=4.0)
         res = ipr_run(sys, target, cfg, standard_optimizer())
         # Passing at the claim resolution, the pulse needs no warm start there.
-        assert [r for _, r in fake.minimize_calls] == [5]
+        assert [r for _, r in fake.minimize_calls] == [search]
         (record,) = res.records
         assert not record.success and not res.succeeded
         assert record.reason == "uncertified"
@@ -589,8 +599,9 @@ class TestCertificate:
     def test_warm_start_converging_but_failing_double_is_uncertified(self, monkeypatch, x2):
         sys, params, target = x2
         size = params.alpha.size
+        claim = resolutions(sys, 1e-3)[1]
         _FakeSearch(monkeypatch, [_converged(0.01, size, 5, 2), _converged(0.02, size, 1, 1)],
-                    {(0.01, 20): 2e-3, (0.02, 20): 5e-4, (0.02, 40): 3e-3})
+                    {(0.01, claim): 2e-3, (0.02, claim): 5e-4, (0.02, 2 * claim): 3e-3})
         result = standard_optimizer()(sys, params, target)
         assert result.reason == "uncertified"
         assert result.fidelity == 1.0 - 3e-3
@@ -659,6 +670,7 @@ def test_criterion_7_pilot_walk_and_evaluation_budget():
     # Every success is certified at the claim resolution and at twice it.
     for record, pulse in zip(res.records, pulses):
         if record.success:
-            for steps_per_ns in (20, 40):
+            claim = resolutions(sys, 1e-3)[1]
+            for steps_per_ns in (claim, 2 * claim):
                 cache = forward(sys, pulse, target, ObjectiveConfig(), steps_per_ns)
                 assert cache.infidelity < 1e-3

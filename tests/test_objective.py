@@ -387,23 +387,23 @@ class TestGradient:
 
 class TestMemory:
     def test_gradient_keeps_no_trajectory(self):
-        # The eval_matrix benchmark's largest system: 2q d=3, T = 150 ns, 6,000
-        # steps.  Storing every state took 21.6 MB and one gradient peaked
-        # at 28 MB; the guard grid holds 1,001 states (3.6 MB).  The first
-        # call fills the step grid's caches, the second is measured.
+        # The eval_matrix benchmark's largest system: 2q d=3, T = 150 ns, at 40
+        # steps/ns 6,000 steps.  Storing every state took 21.6 MB and one
+        # gradient peaked at 28 MB; the guard grid holds 1,001 states (3.6 MB).
+        # The first call fills the step grid's caches, the second is measured.
         sys = transmon_system(num_qudits=2, d=3, guard=2)
         params = _random_pulse(sys, 150.0, 0.3, 16)
         target, cfg = gate("SWAP_d", 3), ObjectiveConfig()
-        gradient(sys, params, target, cfg)
+        backward(forward(sys, params, target, cfg, 40))
         tracemalloc.start()
         try:
-            gradient(sys, params, target, cfg)
+            backward(forward(sys, params, target, cfg, 40))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 14e6
 
-        cache = forward(sys, params, target, cfg)
+        cache = forward(sys, params, target, cfg, 40)
         n_steps = cache.p.shape[1]
 
         def leading_axes(value):
