@@ -21,10 +21,12 @@ any column-level parallelism.
 
 Both sweeps carry chi_m = E^-1 psi_m through the merged steps
 M_m = K_m E^2 and recover psi = E chi a block at a time.  Both build their
-steps ``BLOCK`` at a time with ``step_unitaries``, in blocks aligned to the
-end of the pulse, so only the first block can be short.  The forward sweep
-``propagate_sequence`` multiplies, for matrices up to 16 x 16, prefix
-products over groups of steps, built for all groups of a block at once,
+steps ``block_length`` at a time with ``step_unitaries``, in blocks aligned
+to the end of the pulse, so only the first block can be short.  The forward
+sweep ``propagate_sequence`` multiplies, for matrices up to 16 x 16, prefix
+products over groups of steps, built for all groups of a block at once, and
+applies each group's to chi as one GEMM, or, in a block that stores no
+state before its last step, the product of its steps, taken pairwise.  It
 stores only the states it is asked for, and hands its build of the last
 block (per-qudit eigenpairs and exponentials, and the M_m copied before the
 prefix products overwrite them) to the reverse sweep, which starts there
@@ -75,11 +77,15 @@ MAX_STORED_STEPS = 1000
 # ``_gemm`` chunks its rows to keep it at any size.  The per-step products of
 # n x n steps and h rows or columns keep it up to d=38 on one qudit and d=5 on
 # two, as the reverse sweep splits its 2h rebuild rows in two where they reach
-# it (120,050 at 2q d=5).  From 2q d=6 the h columns do too (147,456).
+# it (120,050 at 2q d=5).  From 2q d=6 the h columns do too (147,456).  The
+# forward's group products stack at most 11 x 16 rows (45,056 at n = h = 16).
 GEMM_THREAD_BOUND = 65_536
 
-# Steps per block in both sweeps.  512-step blocks were no faster and, on
-# 2q d=2, T=100 ns (2-core Xeon), raised peak RSS from 51 to 59 MB.
+# Steps per block of both sweeps (``block_length``): as many n x n steps as
+# fit in the 512 KiB of BLOCK 16 x 16 steps (2q d=2), and at least BLOCK, so
+# 2,048 at 1q d=2 and 128 on two qudits.  A block costs about 50 numpy calls
+# whatever its length; on 2q d=2, T=100 ns (2-core Xeon), 512-step blocks
+# were no faster and raised peak RSS from 51 to 59 MB.
 BLOCK = 128
 
 
@@ -285,15 +291,30 @@ def _group_size(n: int, reverse: bool = False) -> int:
     one extra n x n product per step, and in the reverse sweep also a guard
     sum.  On a 2-core Xeon that was cheaper than the numpy calls it saves up
     to n = 16 in the forward sweep (10% slower at n = 25, 2q d=3) and up to
-    n = 10 in the reverse sweep (5% slower at n = 16, 2q d=2)."""
+    n = 10 in the reverse sweep (5% slower at n = 16, 2q d=2).  It does not
+    grow with the block: reverse groups of isqrt(block) let rebuilt states
+    drift 9x past the 3.1e-13 the tests allow at 1q d=5, 4,400 steps."""
     return math.isqrt(BLOCK) if n <= (10 if reverse else 16) else 1
 
 
-def _block_edges(n_steps: int) -> list[tuple[int, int]]:
-    """(start, stop) of each block, aligned to the end of the pulse: only the
-    first block can be short, so the last block, which the forward sweep
-    hands to the reverse sweep, is a full one."""
-    return [(max(0, stop - BLOCK), stop) for stop in range(n_steps, 0, -BLOCK)][::-1]
+def block_length(n: int) -> int:
+    """Steps per block of both sweeps for n x n steps (see ``BLOCK``)."""
+    return max(BLOCK, BLOCK * 16**2 // n**2)
+
+
+def _block_edges(n_steps: int, length: int) -> list[tuple[int, int]]:
+    """(start, stop) of each block of ``length`` steps, aligned to the end of
+    the pulse: only the first block can be short, so the last block, which
+    the forward sweep hands to the reverse sweep, is a full one."""
+    return [(max(0, stop - length), stop) for stop in range(n_steps, 0, -length)][::-1]
+
+
+def _chain_product(steps: np.ndarray) -> np.ndarray:
+    """steps[-1] @ ... @ steps[0], as log2 stacked products of neighbours."""
+    while len(steps) > 1:
+        pairs = steps[1::2] @ steps[:-1:2]
+        steps = np.concatenate((pairs, steps[-1:])) if len(steps) % 2 else pairs
+    return steps[0]
 
 
 def propagate_sequence(
@@ -322,27 +343,37 @@ def propagate_sequence(
     states = np.empty((len(wanted),) + np.shape(initial), dtype=complex)
     half = _drift_exponential(split, 0.5 * dt)
     chi = half.conj().T @ np.asarray(initial, dtype=complex)
-    chis = np.empty((BLOCK,) + chi.shape, dtype=complex)
-    group = _group_size(len(half))
+    n = len(half)
+    length = block_length(n)
+    chis = np.empty((min(length, n_steps),) + chi.shape, dtype=complex)
+    group = _group_size(n)
     last = None
     slot = 0
     if wanted[0] == 0:
         states[0] = initial
         slot = 1
-    for start, stop in _block_edges(n_steps):
+    for start, stop in _block_edges(n_steps, length):
         qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
+        block = chis[: stop - start]
+        # A block that stores no state before its last step needs only the
+        # product of its steps, which leaves them as they are.
+        chained = slot == len(wanted) or wanted[slot] >= stop
         if stop == n_steps:
             # Kept before the prefix products below overwrite the steps.
-            last = (qudits, steps.copy() if group > 1 else steps)
+            last = (qudits, steps.copy() if group > 1 and not chained else steps)
             for arr in (last[1], *(a for qudit in qudits for a in qudit)):
                 arr.setflags(write=False)
-        # Prefix products within each group of steps, all groups at once.
-        for i in range(1, group):
-            head = steps[i::group]
-            np.matmul(head, steps[i - 1::group][: len(head)], out=head)
-        block = chis[: stop - start]
-        for s in range(0, stop - start, group):
-            chi = np.matmul(steps[s:s + group], chi, out=block[s:s + group])[-1]
+        if chained:
+            chi = block[-1] = _chain_product(steps) @ chi
+        else:
+            # Prefix products within each group of steps, all groups at once,
+            # each group's applied to chi as one GEMM of its stacked rows.
+            for i in range(1, group):
+                head = steps[i::group]
+                np.matmul(head, steps[i - 1::group][: len(head)], out=head)
+            rows, out = steps.reshape(-1, n), block.reshape(-1, chi.shape[1])
+            for s in range(0, len(rows), group * n):
+                chi = np.matmul(rows[s:s + group * n], chi, out=out[s:s + group * n])[-n:]
         top = np.searchsorted(wanted, stop, side="right")
         states[slot:top] = _left_gemm(half, chis[wanted[slot:top] - start - 1])
         slot = top
@@ -385,6 +416,7 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
     half = _drift_exponential(split, 0.5 * dt)
     drift = _drift_exponential(split, dt)
     group = _group_size(len(half), reverse=True)
+    length = min(block_length(len(half)), n_steps)
     # Rows :h hold mu_m = lambda_m^H E, so lambda_m = S_m^H lambda_{m+1} plus
     # the guard term of step m is mu_m = mu_{m+1} M_m + coef[m] psi_m^H mask E.
     # Unless ``store`` holds every step, rows h: hold chi_m^H = psi_m^H E =
@@ -394,8 +426,8 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
     # steps.
     h = lam.shape[1]
     rebuild = len(store) <= n_steps
-    mus = np.empty((BLOCK + 1, 2 * h if rebuild else h, len(half)), dtype=complex)
-    prods = np.empty((BLOCK,) + half.shape, dtype=complex) if group > 1 else None
+    mus = np.empty((length + 1, 2 * h if rebuild else h, len(half)), dtype=complex)
+    prods = np.empty((length,) + half.shape, dtype=complex) if group > 1 else None
     coef = np.zeros(n_steps + 1)
     coef[store] = weights
     final = states[-1].conj().T
@@ -493,7 +525,7 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
             lower[k, start:stop] = phase * np.einsum("bij,ij->b", weighted, lowering)
             upper[k, start:stop] = phase.conj() * np.einsum("bij,ji->b", weighted, lowering.conj())
 
-    for start, stop in reversed(_block_edges(n_steps)):
+    for start, stop in reversed(_block_edges(n_steps, length)):
         sensitivities(start, stop, recurrence(start, stop, mu))
         mu = mus[0]
     return 2.0 * np.real(lower + upper), -2.0 * np.imag(lower - upper)

@@ -10,6 +10,7 @@ from quditpulse.dynamics import (
     PropagationError,
     _gemm,
     _group_size,
+    block_length,
     default_steps_per_ns,
     guard_populations,
     midpoint_controls,
@@ -212,6 +213,10 @@ def _per_step_exponentials(split, p, q, dt):
     return out
 
 
+def _block_length(num_qudits, d):
+    return block_length(transmon_system(num_qudits=num_qudits, d=d, guard=2).dim_total)
+
+
 def _factor_system(num_qudits, d, n_steps, seed):
     sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
     split, embed, mask = system_operators(sys)
@@ -285,7 +290,8 @@ class TestFactorKernels:
     def test_adjoint_matches_per_step_formula(self, num_qudits, d):
         # The step count leaves a short first block and crosses two block
         # edges.
-        assert self._adjoint_error(num_qudits, d, 2 * BLOCK + 5, 3) <= 1e-12
+        n_steps = 2 * _block_length(num_qudits, d) + 5
+        assert self._adjoint_error(num_qudits, d, n_steps, 3) <= 1e-12
 
     @pytest.mark.parametrize("num_qudits, d, n_steps", [(1, 5, 4400), (2, 2, 4000)])
     def test_adjoint_matches_per_step_formula_on_long_pulses(self, num_qudits, d, n_steps):
@@ -318,7 +324,7 @@ class TestFactorKernels:
         # product the sweeps issue through np.matmul, the chunked GEMMs among
         # them, has m * n * k below 65,536, from which OpenBLAS 0.3.31 runs a
         # zgemm on two threads.
-        n_steps = BLOCK + 37
+        n_steps = _block_length(num_qudits, d) + 37
         _, split, embed, mask, p, q, dt, _ = _factor_system(num_qudits, d, n_steps, d)
         sizes = []
         matmul = np.matmul
@@ -335,6 +341,28 @@ class TestFactorKernels:
                              mask, last)
         monkeypatch.undo()
         assert sizes and max(sizes) < 65_536
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_block_length_moves_only_rounding(self, d, monkeypatch):
+        # Blocks of the rule's length against the 128-step blocks they
+        # replace, over a short first block and two of the rule's length, with
+        # every state stored and with the guard grid's, whose states between
+        # the reverse sweep rebuilds.
+        n_steps = 2 * _block_length(1, d) + 37
+        _, split, embed, mask, p, q, dt, rng = _factor_system(1, d, n_steps, d)
+        lam = rng.standard_normal(embed.shape) + 1j * rng.standard_normal(embed.shape)
+        runs = []
+        for length in (None, BLOCK):
+            if length is not None:
+                monkeypatch.setattr(dynamics, "block_length", lambda n: length)
+            for store in (np.arange(n_steps + 1), stored_indices(n_steps)):
+                states, last = propagate_sequence(split, p, q, dt, embed, store)
+                grad = reverse_sequence(split, p, q, dt, store, states, lam,
+                                        np.full(len(store), 0.1), mask, last)
+                runs.append((states, np.asarray(grad)))
+        for (states, grad), (states_128, grad_128) in zip(runs[:2], runs[2:]):
+            assert np.max(np.abs(states - states_128)) <= 1e-13 * np.max(np.abs(states_128))
+            assert np.max(np.abs(grad - grad_128)) <= 1e-13 * np.max(np.abs(grad_128))
 
     @pytest.mark.parametrize("n", [4, 6, 16, 25])
     @pytest.mark.parametrize("stack", [1, 81, BLOCK])
@@ -357,15 +385,17 @@ class TestSweep:
     @pytest.mark.parametrize("num_qudits, d", SWEEP_SYSTEMS)
     def test_matches_reference_loop(self, num_qudits, d, store_kind):
         # Step counts around the forward product's group size and the block
-        # size, and one past MAX_STORED_STEPS; the reference applies
-        # E K_m E step by step with E and K_m from plain eigendecompositions.
+        # length, one that crosses two block edges, and one past
+        # MAX_STORED_STEPS; the reference applies E K_m E step by step with E
+        # and K_m from plain eigendecompositions.
         sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
         split, embed, _ = system_operators(sys)
         ops = control_operators(sys)
         dt = 1.0 / default_steps_per_ns(sys)
         half = _eigh_exponential(drift_hamiltonian(sys), 0.5 * dt)
-        group = _group_size(sys.dim_total)
-        counts = {1, group - 1, group, group + 1, BLOCK - 1, BLOCK, BLOCK + 1, 1001} - {0}
+        group, length = _group_size(sys.dim_total), block_length(sys.dim_total)
+        counts = {1, group - 1, group, group + 1, length - 1, length, length + 1,
+                  2 * length + 1, 1001} - {0}
         rng = np.random.default_rng(10 * num_qudits + d)
         p, q = rng.uniform(-0.3, 0.3, (2, num_qudits, max(counts)))
         reference = [embed]
@@ -380,6 +410,24 @@ class TestSweep:
             states, _ = propagate_sequence(split, p[:, :n_steps], q[:, :n_steps], dt, embed, store)
             expected = np.stack([reference[i] for i in store])
             assert np.max(np.abs(states - expected)) <= 1e-11, n_steps
+
+
+    @pytest.mark.parametrize("num_qudits, d", SWEEP_SYSTEMS)
+    def test_final_state_alone_matches_dense_sweep(self, num_qudits, d):
+        # Blocks that store no state before their last step multiply their
+        # steps pairwise: below one group, one group plus one step, and over
+        # two blocks.
+        sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
+        split, embed, _ = system_operators(sys)
+        steps_per_ns = default_steps_per_ns(sys)
+        group = _group_size(sys.dim_total)
+        for n_steps in (max(1, group - 1), group + 1, block_length(sys.dim_total) + group + 1):
+            params = _random_pulse(sys, n_steps / steps_per_ns, 0.5, n_steps)
+            final = propagate(sys, params, steps_per_ns, store_trajectory=False).states[-1]
+            dt, _, p, q = midpoint_controls(sys, params, steps_per_ns)
+            assert p.shape[1] == n_steps
+            dense, _ = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
+            assert np.max(np.abs(final - dense[-1])) <= 1e-14, n_steps
 
 
 class TestTrajectory:

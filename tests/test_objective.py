@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from quditpulse import dynamics
 from quditpulse.dynamics import (
     BLOCK,
     MAX_STORED_STEPS,
     PropagationError,
+    block_length,
     guard_population_columns,
     propagate,
     propagate_sequence,
@@ -36,6 +38,9 @@ from quditpulse.pulse import basis_matrix, default_params, random_guess
 
 # The package rebinds the name ``objective`` to the function.
 objective_mod = importlib.import_module("quditpulse.objective")
+
+# Steps per block of both sweeps at 2q d=3.
+TWO_QUDIT_BLOCK = block_length(transmon_system(num_qudits=2, d=3, guard=2).dim_total)
 
 
 def _random_pulse(sys, T, scale, seed):
@@ -288,12 +293,16 @@ class TestGradient:
         assert abs(adjoint - central) <= 1e-6 * abs(central)
 
     @pytest.mark.parametrize("n_steps", [BLOCK + 2, 2 * BLOCK + 27, 8 * BLOCK + 37])
-    def test_batched_reverse_pass_matches_per_step_loop(self, n_steps):
-        # Blocks are aligned to the end of the pulse, so each count leaves a
-        # short first block and the reverse sweep starts from the forward's
-        # full last block.  With more steps than MAX_STORED_STEPS the guard
-        # terms sit on a decimated grid and the adjoint state crosses block
-        # edges between guard samples.
+    def test_batched_reverse_pass_matches_per_step_loop(self, n_steps, monkeypatch):
+        # Blocks are aligned to the end of the pulse, so with BLOCK-step
+        # blocks each count leaves a short first block and the reverse sweep
+        # starts from the forward's full last block.  With more steps than
+        # MAX_STORED_STEPS the guard terms sit on a decimated grid and the
+        # adjoint state crosses block edges between guard samples.  The
+        # rule's blocks hold 1,310 steps here, and past about 1,000 steps the
+        # per-step reference itself drifts beyond this bound (2.9e-13 at
+        # 1,312 steps), so the edges crossed are those of BLOCK-step blocks;
+        # the same counts run at the rule's length too.
         sys = transmon_system(num_qudits=1, d=3, guard=2)
         params = _random_pulse(sys, n_steps / 20, 0.8, 27)
         target = gate("H_d", 3)
@@ -302,11 +311,13 @@ class TestGradient:
         assert cache.p.shape[1] == n_steps
         decimated = np.count_nonzero(cache.guard_coef) < n_steps
         assert decimated == (n_steps > MAX_STORED_STEPS)
-        batched = backward(cache)
         reference = _per_step_reference_gradient(cache)
-        assert np.max(np.abs(batched - reference)) <= 1e-13 * np.max(np.abs(reference))
+        for length in (block_length(sys.dim_total), BLOCK):
+            monkeypatch.setattr(dynamics, "block_length", lambda n: length)
+            batched = backward(forward(sys, params, target, cfg, steps_per_ns=20))
+            assert np.max(np.abs(batched - reference)) <= 1e-13 * np.max(np.abs(reference))
 
-    @pytest.mark.parametrize("n_steps", [BLOCK + 2, 160, 2 * BLOCK + 27])
+    @pytest.mark.parametrize("n_steps", [TWO_QUDIT_BLOCK + 2, 160, 2 * TWO_QUDIT_BLOCK + 27])
     def test_two_qudit_reverse_pass_matches_per_step_loop(self, n_steps):
         # The reverse sweep applies one qudit's kernel at a time; the
         # reference uses the kernel of the full two-qudit eigenbasis.
@@ -324,7 +335,7 @@ class TestGradient:
         # The reverse sweep reads the forward's last block of steps; two
         # gradients from one cache agree bit for bit and leave it unchanged.
         sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
-        params = _random_pulse(sys, 2 * BLOCK / 20 + 1.0, 0.5, 29)
+        params = _random_pulse(sys, 2 * block_length(sys.dim_total) / 20 + 1.0, 0.5, 29)
         cache = forward(sys, params, gate(gate_name, d), ObjectiveConfig(w_guard=0.3),
                         steps_per_ns=20)
 
