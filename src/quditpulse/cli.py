@@ -319,8 +319,9 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    system, params, _, _ = _load_pulse_file(args.pulse)
-    traj = propagate(system, params, steps_per_ns=args.steps_per_ns)
+    system, params, _, meta = _load_pulse_file(args.pulse)
+    resolution = meta.get("steps_per_ns") if args.steps_per_ns is None else args.steps_per_ns
+    traj = propagate(system, params, resolution)
     n_times, n_states, n_cols = traj.states.shape
     header = ["time_ns"]
     header += [f"pop_c{c}_s{s}" for c in range(n_cols) for s in range(n_states)]
@@ -420,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="propagate a stored pulse, export populations")
     p_sim.add_argument("--pulse", required=True, help="pulse JSON")
-    p_sim.add_argument("--steps-per-ns", type=int)
+    p_sim.add_argument("--steps-per-ns", type=int, help="default: the pulse's steps_per_ns")
     p_sim.add_argument("--out", required=True, help="output CSV")
     p_sim.set_defaults(func=cmd_simulate)
 

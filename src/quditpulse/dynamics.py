@@ -60,8 +60,8 @@ import numpy as np
 from .model import QuditSystem, drift_hamiltonian, embed_isometry, lowering_operator
 from .pulse import PulseParams, SampleGrid, carrier_frequencies, eval_controls, sample_grid
 
-# The one integrator, named in every pulse document's metadata.
-INTEGRATOR = "strang"
+# The default error threshold: a claimed infidelity lies below it.
+ERROR_THRESHOLD = 1e-3
 
 # The resolution rule's error constants, floor and budgets (``resolutions``).
 ERROR_BASE, ERROR_PER_CARRIER, MIN_STEPS_PER_NS = 1.5e-3, 4e-5, 5
@@ -130,9 +130,7 @@ def resolutions(sys: QuditSystem, error_threshold: float) -> tuple[int, int]:
 
 def default_steps_per_ns(sys: QuditSystem) -> int:
     """The claim resolution of ``resolutions`` at the default error threshold."""
-    from .objective import ObjectiveConfig  # objective imports this module
-
-    return resolutions(sys, ObjectiveConfig.error_threshold)[1]
+    return resolutions(sys, ERROR_THRESHOLD)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +165,7 @@ def system_operators(sys: QuditSystem) -> tuple[Splitting, np.ndarray, np.ndarra
     outer = np.einsum("ik,jk->kij", ladder_vecs, ladder_vecs.conj()).reshape(len(a), -1)
     embed = embed_isometry(sys)
     mask = sys.guard_mask()
-    for arr in (drift_vals, drift_vecs, ladder_vals, ladder_vecs, lowering, outer, embed, mask):
+    for arr in (drift_vals, drift_vecs, ladder_vals, ladder_vecs, lowering, outer, mask):
         arr.setflags(write=False)
     split = Splitting(sys.num_qudits, drift_vals, drift_vecs, ladder_vals, ladder_vecs, lowering,
                       outer)
@@ -553,10 +551,7 @@ def propagate(
     split, embed, mask = system_operators(sys)
     dt, _, p, q = midpoint_controls(sys, params, steps_per_ns)
     n_steps = p.shape[1]
-    if store_trajectory:
-        idx = stored_indices(n_steps)
-    else:
-        idx = np.asarray([0, n_steps])
+    idx = stored_indices(n_steps) if store_trajectory else np.asarray([0, n_steps])
     states, _ = propagate_sequence(split, p, q, dt, embed, idx)
     return Trajectory(
         times=idx * dt,

@@ -9,6 +9,7 @@ propagation step is exp(-1j * H * dt) with no extra factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -232,21 +233,16 @@ def gate(name: str, d: int = 2) -> GateSpec:
     return GateSpec(name, d, _single_qudit_gate(name, d))
 
 
+@lru_cache(maxsize=32)
 def embed_isometry(sys: QuditSystem) -> np.ndarray:
-    """Isometry mapping essential basis states into the full space.
+    """Isometry mapping essential basis states into the full space, read-only.
 
-    Composite essential index i*d + j goes to full index i*levels + j
+    Its columns are the full basis states outside ``guard_mask``, in order,
+    so composite essential index i*d + j goes to full index i*levels + j
     (row-major, first qudit is the slow index); guard rows are zero.
     """
-    e = np.zeros((sys.dim_total, sys.dim_essential), dtype=complex)
-    if sys.num_qudits == 1:
-        for i in range(sys.d):
-            e[i, i] = 1.0
-    else:
-        n = sys.levels
-        for i in range(sys.d):
-            for j in range(sys.d):
-                e[i * n + j, i * sys.d + j] = 1.0
+    e = np.eye(sys.dim_total, dtype=complex)[:, ~sys.guard_mask()]
+    e.setflags(write=False)
     return e
 
 

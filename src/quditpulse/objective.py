@@ -33,6 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import (
+    ERROR_THRESHOLD,
     PropagationError,
     guard_population_columns,
     midpoint_controls,
@@ -57,7 +58,7 @@ class ObjectiveConfig:
 
     w_guard: float = 0.1
     w_l2: float = 0.0
-    error_threshold: float = 1e-3
+    error_threshold: float = ERROR_THRESHOLD
 
     def __post_init__(self) -> None:
         if self.w_guard < 0 or self.w_l2 < 0:
@@ -157,7 +158,7 @@ def backward(cache: ForwardCache) -> np.ndarray:
     sens = reverse_sequence(split, cache.p, cache.q, cache.dt, cache.guard_steps,
                             cache.guard_states, lam, cfg.w_guard * cache.guard_coef, mask,
                             cache.last)
-    grad = controls_adjoint(params, cache.grid, sens)
+    grad = controls_adjoint(cache.grid, sens)
     grad += 2.0 * cfg.w_l2 * params.alpha
     grad[params.boundary_mask()] = 0.0
     return grad

@@ -24,6 +24,9 @@ import numpy as np
 from . import __version__
 from .model import TWO_PI, QuditSystem
 
+# The one integrator, named in every pulse document's metadata.
+INTEGRATOR = "strang"
+
 
 class RefitError(RuntimeError):
     """Raised when the least-squares re-parameterization is degenerate."""
@@ -156,12 +159,11 @@ def basis_matrix(N_b: int, T: float, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampleGrid:
-    """Sample times t (M,) with the spline basis S_b(t) (M, N_b) and the
-    carrier phases exp(1j Omega_{k,j} t) (K, N_f, M): everything
+    """The spline basis S_b(t) (M, N_b) and the carrier phases
+    exp(1j Omega_{k,j} t) (K, N_f, M) at M sample times t: everything
     ``eval_controls`` and ``controls_adjoint`` need that does not depend on
     alpha."""
 
-    t: np.ndarray
     basis: np.ndarray
     phases: np.ndarray
 
@@ -170,8 +172,8 @@ def sample_grid(N_b: int, T: float, carriers, t) -> SampleGrid:
     """The basis and carrier phases of pulses with these N_b, T and carriers at times t."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     phases = np.exp(1j * (np.asarray(carriers, dtype=float)[:, :, None] * t))
-    grid = SampleGrid(t, basis_matrix(N_b, T, t), phases)
-    for arr in (grid.t, grid.basis, grid.phases):
+    grid = SampleGrid(basis_matrix(N_b, T, t), phases)
+    for arr in (grid.basis, grid.phases):
         arr.setflags(write=False)
     return grid
 
@@ -191,7 +193,7 @@ def eval_controls(params: PulseParams, t) -> tuple[np.ndarray, np.ndarray]:
     return total.real, total.imag
 
 
-def controls_adjoint(params: PulseParams, grid: SampleGrid, sens) -> np.ndarray:
+def controls_adjoint(grid: SampleGrid, sens) -> np.ndarray:
     """Adjoint of ``eval_controls`` on a grid: maps sens = (dJ/dp, dJ/dq) at
     the grid's times to dJ/dalpha, whose (real, imag) pair is
     sum_t z e^{-i Omega t} S_b(t) for z = dJ/dp + i dJ/dq."""
@@ -281,12 +283,11 @@ def pulse_doc(sys: QuditSystem, params: PulseParams, fidelity: float,
               metadata: dict | None = None, steps_per_ns: int | None = None) -> dict:
     """JSON-serializable pulse document (floats round-trip exactly).
 
-    ``metadata`` gains the tool version, the integrator name and the claim
-    resolution ``steps_per_ns`` (default ``dynamics.default_steps_per_ns``),
-    because stored fidelities depend on both.
+    ``metadata`` gains the tool version, the integrator name and, if given,
+    the claim resolution ``steps_per_ns``, because stored fidelities depend
+    on both.
     """
-    from .dynamics import INTEGRATOR, default_steps_per_ns  # dynamics imports this module
-
+    resolution = {} if steps_per_ns is None else {"steps_per_ns": steps_per_ns}
     return {
         "system": {
             "num_qudits": sys.num_qudits,
@@ -304,7 +305,7 @@ def pulse_doc(sys: QuditSystem, params: PulseParams, fidelity: float,
         "alpha_max": params.alpha_max,
         "fidelity": fidelity,
         "metadata": dict(metadata or {}, tool_version=__version__, integrator=INTEGRATOR,
-                         steps_per_ns=steps_per_ns or default_steps_per_ns(sys)),
+                         **resolution),
     }
 
 
@@ -318,6 +319,9 @@ def pulse_from_doc(doc: dict) -> tuple[QuditSystem, PulseParams, float, dict]:
     s = doc["system"] if isinstance(doc, dict) else None
     if not (isinstance(s, dict) and isinstance(doc["metadata"], dict)):
         raise ValueError("the document, its system and its metadata must be objects")
+    resolution = doc["metadata"].get("steps_per_ns", 1)
+    if not (_all_of([resolution], int) and resolution >= 1):
+        raise ValueError(f"metadata steps_per_ns must be a positive integer, got {resolution!r}")
     lists = [s["omega"], s["xi"], doc["alpha"], doc["carriers_rot"]]
     if not (_all_of(lists, list) and _all_of(lists[-1], list)):
         raise ValueError("omega, xi, alpha and carriers_rot must be lists, carriers_rot of lists")

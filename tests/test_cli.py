@@ -7,11 +7,12 @@ import pytest
 
 from quditpulse import ipr as ipr_mod
 from quditpulse.cli import build_system, load_config, main
-from quditpulse.dynamics import INTEGRATOR, default_steps_per_ns, propagate, resolutions
+from quditpulse.dynamics import default_steps_per_ns, propagate, resolutions
 from quditpulse.model import embed_target, gate, transmon_system
 from quditpulse.objective import trace_infidelity
 from quditpulse.optimize import OptResult
 from quditpulse.pulse import (
+    INTEGRATOR,
     default_params,
     eval_controls,
     load_pulse,
@@ -390,7 +391,7 @@ class TestSimulateCommand:
     def test_pulse_file_without_integrator_tag(self, tmp_path):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         pulse_path = tmp_path / "pulse.json"
-        save_pulse(pulse_path, sys, default_params(sys, 10.0), 0.5, {"gate": "X_d"})
+        save_pulse(pulse_path, sys, default_params(sys, 10.0), 0.5, {"gate": "X_d"}, 13)
         doc = json.loads(pulse_path.read_text())
         del doc["metadata"]["integrator"], doc["metadata"]["steps_per_ns"]
         pulse_path.write_text(json.dumps(doc))
@@ -399,6 +400,20 @@ class TestSimulateCommand:
         assert meta == {"gate": "X_d", "tool_version": doc["metadata"]["tool_version"]}
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--pulse", str(pulse_path), "--out", str(out)]) == 0
+
+    def test_replays_the_recorded_resolution(self, tmp_path):
+        cfg = _write_config(tmp_path / "cfg.json", integrator={"steps_per_ns": 24})
+        pulse_path = tmp_path / "pulse.json"
+        assert main([
+            "optimize", "--config", cfg, "--gate", "X_d", "--d", "2",
+            "--T", "30", "--out", str(pulse_path),
+        ]) == 0
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--pulse", str(pulse_path), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 721  # 30 ns x 24 steps/ns + 1
+        argv = ["simulate", "--pulse", str(pulse_path), "--steps-per-ns", "13", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(out.read_text().splitlines()) == 1 + 391
 
     def test_byte_identical_reruns(self, tmp_path):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
@@ -576,7 +591,8 @@ class TestBadInput:
 
     @pytest.mark.parametrize("command", ["simulate", "export-lab"])
     @pytest.mark.parametrize("mangle", ["root_not_object", "omega_number", "T_infinite",
-                                        "extra_control", "missing_control", "no_controls"])
+                                        "extra_control", "missing_control", "no_controls",
+                                        "abc", 2.5, True, 0])
     def test_malformed_pulse_document(self, tmp_path, capsys, command, mangle):
         sys = transmon_system(num_qudits=2 if mangle == "missing_control" else 1, d=2, guard=2)
         pulse_path = tmp_path / "pulse.json"
@@ -594,6 +610,8 @@ class TestBadInput:
             doc["alpha"] = doc["alpha"][:len(doc["alpha"]) // 2]
         elif mangle == "no_controls":
             doc["carriers_rot"], doc["alpha"] = [], []
+        elif mangle != "T_infinite":  # a recorded resolution that is no positive integer
+            doc["metadata"]["steps_per_ns"] = mangle
         else:
             doc["T_ns"] = float("inf")
         pulse_path.write_text(json.dumps(doc))

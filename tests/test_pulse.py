@@ -170,7 +170,7 @@ class TestEvalControls:
         p, q = eval_controls(params, t)
         lhs = np.sum(sens[0] * p) + np.sum(sens[1] * q)
         grid = sample_grid(params.N_b, params.T, params.carriers, t)
-        rhs = controls_adjoint(params, grid, sens) @ params.alpha
+        rhs = controls_adjoint(grid, sens) @ params.alpha
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
