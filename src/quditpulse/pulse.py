@@ -249,8 +249,6 @@ def refit(params: PulseParams, T_new: float) -> PulseParams:
     fitting modulated waveforms are equivalent); results are clamped to
     the amplitude bound and the boundary splines are pinned back to zero.
     """
-    if T_new <= 0:
-        raise ValueError(f"new duration must be positive, got {T_new}")
     n_b_new = num_bsplines(T_new)
     n_samples = REFIT_SAMPLES_PER_INTERVAL * (n_b_new - 1) + 1
     ts = np.linspace(0.0, T_new, n_samples)

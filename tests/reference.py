@@ -1,0 +1,44 @@
+"""Per-step reference formulas that the sweep tests check ``reverse_sequence``
+and ``backward`` against."""
+
+import numpy as np
+
+from quditpulse import dynamics
+from quditpulse.dynamics import step_unitaries, system_operators
+from quditpulse.model import control_operators
+
+
+def control_hamiltonian(ops, p, q, m):
+    """sum_k p_k A_k + q_k B_k at step m."""
+    return sum(p[k, m] * a_op + q[k, m] * b_op for k, (a_op, b_op) in enumerate(ops))
+
+
+def per_step_sensitivities(sys, p, q, dt, states, lam, coef):
+    """(dJ/dp, dJ/dq), each shaped like p, by a reverse loop over one step at
+    a time.
+
+    ``states`` holds all n_steps + 1 states of the dense sweep, ``lam`` =
+    dJ/d conj(states[-1]), and J adds ``coef[m] * sum(|states[m][mask]|^2)``.
+    mu_m = lambda_m^H E runs back through the sweep's own merged steps
+    M_m = K_m E^2: mu_m = mu_{m+1} M_m + coef_m psi_m^H mask E.  Then
+    dJ/dc_m = 2 Re tr(mu_{m+1} dK_m/dc E psi_m), with dK_m/dc = U (G o U^H C U) U^H
+    from a plain eigh U diag(l) U^H of sum_k p_k A_k + q_k B_k and G the
+    divided-difference kernel of exp(-1j dt l).
+    """
+    split, _, mask = system_operators(sys)
+    ops = control_operators(sys)
+    half = dynamics._drift_exponential(split, 0.5 * dt)
+    _, steps = step_unitaries(split, p, q, dt, slice(None))
+    sens = np.empty((2,) + p.shape)
+    mu = (lam + coef[-1] * (mask[:, None] * states[-1])).conj().T @ half
+    for m in range(p.shape[1] - 1, -1, -1):
+        evals, basis = np.linalg.eigh(control_hamiltonian(ops, p, q, m))
+        mean = 0.5 * (evals[:, None] + evals[None, :])
+        gap = evals[:, None] - evals[None, :]
+        kernel = -1j * dt * np.exp(-1j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
+        weighted = kernel * (basis.conj().T @ (half @ states[m]) @ (mu @ basis)).T
+        for k, pair in enumerate(ops):
+            for c, op in enumerate(pair):
+                sens[c, k, m] = 2.0 * np.real(np.sum(weighted * (basis.conj().T @ op @ basis)))
+        mu = mu @ steps[m] + (coef[m] * (mask[:, None] * states[m])).conj().T @ half
+    return sens[0], sens[1]

@@ -33,6 +33,7 @@ from quditpulse.model import (
 )
 from quditpulse.objective import trace_infidelity
 from quditpulse.pulse import default_params, eval_controls, random_guess
+from reference import control_hamiltonian, per_step_sensitivities
 
 
 def _random_pulse(sys, T, scale, seed):
@@ -153,7 +154,7 @@ class TestStrangStep:
         ops = control_operators(sys)
         a_one, b_one = control_operators(transmon_system(num_qudits=1, d=d, guard=2))[0]
         for m in range(p.shape[1]):
-            h_c = sum(p[k, m] * a_op + q[k, m] * b_op for k, (a_op, b_op) in enumerate(ops))
+            h_c = control_hamiltonian(ops, p, q, m)
             assert np.max(np.abs(steps[m] - _eigh_exponential(h_c, dt))) <= 1e-13
             for k, (evals, phases, kmat) in enumerate(qudits):
                 h_k = p[k, m] * a_one + q[k, m] * b_one
@@ -175,7 +176,7 @@ class TestStrangStep:
         half = _eigh_exponential(drift_hamiltonian(sys), 0.5 * dt)
         ops = control_operators(sys)
         for m in range(p.shape[1]):
-            h_c = sum(p[k, m] * a_op + q[k, m] * b_op for k, (a_op, b_op) in enumerate(ops))
+            h_c = control_hamiltonian(ops, p, q, m)
             strang = half @ _eigh_exponential(h_c, dt) @ half
             assert np.max(np.abs(half @ steps[m] @ half.conj().T - strang)) <= 1e-13
 
@@ -197,22 +198,6 @@ class TestStrangStep:
             assert abs(infid[0] - infid[1]) <= 1e-5
 
 
-def _per_step_exponentials(split, p, q, dt):
-    """Per qudit and step: eigenvalues r D, eigenbasis W = R V and
-    K = I + W (exp(-1j dt r D) - 1) W^H, one small product per step."""
-    out = []
-    for k in range(split.num_qudits):
-        qudit = []
-        for p_m, q_m in zip(p[k], q[k]):
-            vals = np.hypot(p_m, q_m) * split.ladder_vals
-            phases = np.exp(-1j * np.arctan2(q_m, p_m) * np.arange(len(vals)))
-            vecs = phases[:, None] * split.ladder_vecs
-            kmat = np.eye(len(vals)) + (vecs * np.expm1(-1j * dt * vals)) @ vecs.conj().T
-            qudit.append((vals, vecs, kmat))
-        out.append(qudit)
-    return out
-
-
 def _block_length(num_qudits, d):
     return block_length(transmon_system(num_qudits=num_qudits, d=d, guard=2).dim_total)
 
@@ -226,78 +211,51 @@ def _factor_system(num_qudits, d, n_steps, seed):
 
 
 class TestFactorKernels:
-    # Stated tolerance of the factor-form kernels against the per-step
-    # formulas they replace: 1e-13 absolute on the merged steps, 1e-12
-    # relative (max norm) on the adjoint gradient.
+    # Stated tolerance of the factor-form kernels against per-step formulas:
+    # 1e-13 absolute on the merged steps and 1e-13 relative (max norm) on the
+    # adjoint gradient.
 
     @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
     def test_merged_steps_match_per_step_formula(self, num_qudits, d):
         sys, split, _, _, p, q, dt, _ = _factor_system(num_qudits, d, 40, d)
         _, steps = step_unitaries(split, p, q, dt, slice(None))
         drift_sq = _eigh_exponential(drift_hamiltonian(sys), dt)
-        per_qudit = _per_step_exponentials(split, p, q, dt)
+        ops = control_operators(sys)
         for m in range(p.shape[1]):
-            kmat = per_qudit[0][m][2]
-            if num_qudits == 2:
-                kmat = np.kron(kmat, per_qudit[1][m][2])
+            kmat = _eigh_exponential(control_hamiltonian(ops, p, q, m), dt)
             assert np.max(np.abs(steps[m] - kmat @ drift_sq)) <= 1e-13
 
     @staticmethod
     def _adjoint_error(num_qudits, d, n_steps, stride):
-        """Max deviation of ``reverse_sequence`` from a per-step adjoint loop
-        over every state, relative to max |reference|, with every state stored
-        and with every ``stride``-th: dJ/dc_m = 2 Re tr(mu_{m+1} dK_m/dc E
-        psi_m), with dK/dc = W (G o W^H C W) W^H on the driven qudit,
-        Kronecker-multiplied by the other qudit's K.  About 30% of the
-        sparse grid's steps carry no guard term."""
+        """Max deviation of ``reverse_sequence`` from ``per_step_sensitivities``,
+        relative to max |reference|, with every state stored and with every
+        ``stride``-th.  About 30% of the sparse grid's steps carry no guard
+        term."""
         sys, split, embed, mask, p, q, dt, rng = _factor_system(num_qudits, d, n_steps, 7 + d)
         states, _ = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
         grid = np.append(np.arange(0, n_steps, stride), n_steps)
         lam = rng.standard_normal(embed.shape) + 1j * rng.standard_normal(embed.shape)
         coef = np.zeros(n_steps + 1)
         coef[grid] = rng.uniform(0.0, 0.5, len(grid)) * (rng.uniform(size=len(grid)) < 0.7)
-        grads = []
+        reference = np.asarray(per_step_sensitivities(sys, p, q, dt, states, lam, coef))
+        errors = []
         for store in (np.arange(n_steps + 1), grid):
             stored, last = propagate_sequence(split, p, q, dt, embed, store)
-            grads.append(reverse_sequence(split, p, q, dt, store, stored, lam, coef[store], mask,
-                                          last))
-
-        half = _eigh_exponential(drift_hamiltonian(sys), 0.5 * dt)
-        controls = control_operators(transmon_system(num_qudits=1, d=d, guard=2))[0]
-        per_qudit = _per_step_exponentials(split, p, q, dt)
-        reference = np.zeros((2, num_qudits, n_steps))
-        lam = lam + coef[n_steps] * (mask[:, None] * states[n_steps])
-        for m in range(n_steps - 1, -1, -1):
-            mu = lam.conj().T @ half
-            ket = half @ states[m]
-            kmats = [per_qudit[k][m][2] for k in range(num_qudits)]
-            for k in range(num_qudits):
-                vals, vecs, _ = per_qudit[k][m]
-                mean = 0.5 * (vals[:, None] + vals[None, :])
-                gap = vals[:, None] - vals[None, :]
-                kernel = -1j * dt * np.exp(-1j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
-                for c, op in enumerate(controls):
-                    dk = vecs @ (kernel * (vecs.conj().T @ op @ vecs)) @ vecs.conj().T
-                    factors = kmats[:k] + [dk] + kmats[k + 1:]
-                    dk_full = factors[0] if num_qudits == 1 else np.kron(*factors)
-                    reference[c, k, m] = 2.0 * np.real(np.trace(mu @ dk_full @ ket))
-            kmat = kmats[0] if num_qudits == 1 else np.kron(*kmats)
-            lam = (half @ kmat @ half).conj().T @ lam + coef[m] * (mask[:, None] * states[m])
-        scale = np.max(np.abs(reference))
-        return max(np.max(np.abs(np.asarray(g) - reference)) for g in grads) / scale
+            grad = reverse_sequence(split, p, q, dt, store, stored, lam, coef[store], mask, last)
+            errors.append(np.max(np.abs(np.asarray(grad) - reference)))
+        return max(errors) / np.max(np.abs(reference))
 
     @pytest.mark.parametrize("num_qudits, d", SYSTEMS)
     def test_adjoint_matches_per_step_formula(self, num_qudits, d):
         # The step count leaves a short first block and crosses two block
         # edges.
         n_steps = 2 * _block_length(num_qudits, d) + 5
-        assert self._adjoint_error(num_qudits, d, n_steps, 3) <= 1e-12
+        assert self._adjoint_error(num_qudits, d, n_steps, 3) <= 1e-13
 
     @pytest.mark.parametrize("num_qudits, d, n_steps", [(1, 5, 4400), (2, 2, 4000)])
     def test_adjoint_matches_per_step_formula_on_long_pulses(self, num_qudits, d, n_steps):
-        # Rebuilt states gain rounding with the step count; the sparse grid
-        # is the guard grid of the objective.
-        assert self._adjoint_error(num_qudits, d, n_steps, -(-n_steps // 1000)) <= 1e-11
+        # The sparse grid is the guard grid of the objective.
+        assert self._adjoint_error(num_qudits, d, n_steps, -(-n_steps // 1000)) <= 1e-13
 
     @pytest.mark.parametrize("num_qudits, d, n_steps", [(1, 5, 4400), (2, 2, 4000)])
     def test_rebuilt_states_match_stored_states(self, num_qudits, d, n_steps):
@@ -400,8 +358,8 @@ class TestSweep:
         p, q = rng.uniform(-0.3, 0.3, (2, num_qudits, max(counts)))
         reference = [embed]
         for m in range(max(counts)):
-            h_c = sum(p[k, m] * a_op + q[k, m] * b_op for k, (a_op, b_op) in enumerate(ops))
-            reference.append(half @ (_eigh_exponential(h_c, dt) @ (half @ reference[-1])))
+            kmat = _eigh_exponential(control_hamiltonian(ops, p, q, m), dt)
+            reference.append(half @ (kmat @ (half @ reference[-1])))
         for n_steps in sorted(counts):
             if store_kind == "dense":
                 store = np.arange(n_steps + 1)

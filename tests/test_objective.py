@@ -16,14 +16,7 @@ from quditpulse.dynamics import (
     propagate_sequence,
     system_operators,
 )
-from quditpulse.model import (
-    GateSpec,
-    control_operators,
-    drift_hamiltonian,
-    embed_target,
-    gate,
-    transmon_system,
-)
+from quditpulse.model import GateSpec, embed_target, gate, transmon_system
 from quditpulse.objective import (
     ObjectiveConfig,
     backward,
@@ -35,6 +28,7 @@ from quditpulse.objective import (
     value_and_gradient,
 )
 from quditpulse.pulse import basis_matrix, default_params, random_guess
+from reference import per_step_sensitivities
 
 # The package rebinds the name ``objective`` to the function.
 objective_mod = importlib.import_module("quditpulse.objective")
@@ -56,36 +50,15 @@ def _full_trajectory(cache):
 
 
 def _per_step_reference_gradient(cache):
-    """A step-by-step reverse loop through the Strang steps S = E K E, with
-    E and K built from plain eigendecompositions of H0 and p A + q B, over
-    the stored states of every step."""
+    """``per_step_sensitivities`` over the stored states of every step,
+    taken to alpha by the chain rule, with the L2 term and the pinned zeros."""
     sys, params, cfg, dt = cache.sys, cache.params, cache.cfg, cache.dt
-    _, _, mask = system_operators(sys)
-    ops = control_operators(sys)
-    drift_vals, drift_vecs = np.linalg.eigh(drift_hamiltonian(sys))
-    half = (drift_vecs * np.exp(-0.5j * dt * drift_vals)) @ drift_vecs.conj().T
     n_steps = cache.p.shape[1]
-    states = _full_trajectory(cache)
     guard_coef = np.zeros(n_steps + 1)
     guard_coef[cache.guard_steps] = cfg.w_guard * cache.guard_coef
     lam = -(cache.overlap / sys.dim_essential**2) * cache.v_emb
-    lam = lam + guard_coef[n_steps] * (mask[:, None] * states[n_steps])
-    s_a = np.empty((len(ops), n_steps))
-    s_b = np.empty((len(ops), n_steps))
-    for m in range(n_steps - 1, -1, -1):
-        h_c = sum(cache.p[k, m] * a_op + cache.q[k, m] * b_op for k, (a_op, b_op) in enumerate(ops))
-        evals, basis_q = np.linalg.eigh(h_c)
-        lam_t = basis_q.conj().T @ (half.conj().T @ lam)
-        psi_t = basis_q.conj().T @ (half @ states[m])
-        mean = 0.5 * (evals[:, None] + evals[None, :])
-        gap = evals[:, None] - evals[None, :]
-        kernel = -1j * dt * np.exp(-1j * dt * mean) * np.sinc(dt * gap / (2.0 * np.pi))
-        kernel_p = kernel * (psi_t @ lam_t.conj().T).T
-        for k, (a_op, b_op) in enumerate(ops):
-            s_a[k, m] = 2.0 * np.real(np.sum(kernel_p * (basis_q.conj().T @ a_op @ basis_q)))
-            s_b[k, m] = 2.0 * np.real(np.sum(kernel_p * (basis_q.conj().T @ b_op @ basis_q)))
-        lam = half.conj().T @ (basis_q @ (np.exp(1j * dt * evals)[:, None] * lam_t))
-        lam = lam + guard_coef[m] * (mask[:, None] * states[m])
+    s_a, s_b = per_step_sensitivities(sys, cache.p, cache.q, dt, _full_trajectory(cache), lam,
+                                      guard_coef)
     midpoints = (np.arange(n_steps) + 0.5) * dt
     basis_mid = basis_matrix(params.N_b, params.T, midpoints)
     grad = np.empty((params.num_controls, params.num_carriers, params.N_b, 2))
@@ -292,20 +265,18 @@ class TestGradient:
         adjoint = backward(cache) @ direction
         assert abs(adjoint - central) <= 1e-6 * abs(central)
 
-    @pytest.mark.parametrize("n_steps", [BLOCK + 2, 2 * BLOCK + 27, 8 * BLOCK + 37])
-    def test_batched_reverse_pass_matches_per_step_loop(self, n_steps, monkeypatch):
-        # Blocks are aligned to the end of the pulse, so with BLOCK-step
-        # blocks each count leaves a short first block and the reverse sweep
-        # starts from the forward's full last block.  With more steps than
-        # MAX_STORED_STEPS the guard terms sit on a decimated grid and the
-        # adjoint state crosses block edges between guard samples.  The
-        # rule's blocks hold 1,310 steps here, and past about 1,000 steps the
-        # per-step reference itself drifts beyond this bound (2.9e-13 at
-        # 1,312 steps), so the edges crossed are those of BLOCK-step blocks;
-        # the same counts run at the rule's length too.
-        sys = transmon_system(num_qudits=1, d=3, guard=2)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_batched_reverse_pass_matches_per_step_loop(self, d, monkeypatch):
+        # Blocks are aligned to the end of the pulse, so the count leaves a
+        # short first block, crosses two edges of the rule's blocks and the
+        # reverse sweep starts from the forward's full last block.  With more
+        # steps than MAX_STORED_STEPS the guard terms sit on a decimated grid
+        # and the adjoint state crosses block edges between guard samples.
+        # The same count runs in BLOCK-step blocks too.
+        sys = transmon_system(num_qudits=1, d=d, guard=2)
+        n_steps = 2 * block_length(sys.dim_total) + 37
         params = _random_pulse(sys, n_steps / 20, 0.8, 27)
-        target = gate("H_d", 3)
+        target = gate("H_d", d)
         cfg = ObjectiveConfig(w_guard=0.3, w_l2=1e-4)
         cache = forward(sys, params, target, cfg, steps_per_ns=20)
         assert cache.p.shape[1] == n_steps
@@ -327,7 +298,7 @@ class TestGradient:
         cache = forward(sys, params, gate("SWAP_d", 3), cfg, steps_per_ns=40)
         assert cache.p.shape[1] == n_steps
         reference = _per_step_reference_gradient(cache)
-        assert np.max(np.abs(backward(cache) - reference)) <= 1e-12 * np.max(np.abs(reference))
+        assert np.max(np.abs(backward(cache) - reference)) <= 1e-13 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("num_qudits, d, gate_name", [
         (1, 2, "X_d"), (2, 2, "CNOT"), (2, 3, "SWAP_d")])
