@@ -265,16 +265,19 @@ class TestGradient:
         adjoint = backward(cache) @ direction
         assert abs(adjoint - central) <= 1e-6 * abs(central)
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_batched_reverse_pass_matches_per_step_loop(self, d, monkeypatch):
-        # Blocks are aligned to the end of the pulse, so the count leaves a
-        # short first block, crosses two edges of the rule's blocks and the
-        # reverse sweep starts from the forward's full last block.  With more
-        # steps than MAX_STORED_STEPS the guard terms sit on a decimated grid
-        # and the adjoint state crosses block edges between guard samples.
-        # The same count runs in BLOCK-step blocks too.
+    @pytest.mark.parametrize("d, n_steps", [
+        *(pytest.param(3, n, id=str(n)) for n in (BLOCK + 2, 2 * BLOCK + 27, 8 * BLOCK + 37)),
+        *(pytest.param(d, 2 * block_length(transmon_system(num_qudits=1, d=d, guard=2).dim_total)
+                       + 37, id=str(d)) for d in (2, 3, 4, 5))])
+    def test_batched_reverse_pass_matches_per_step_loop(self, d, n_steps, monkeypatch):
+        # Blocks are aligned to the end of the pulse, so each count leaves a
+        # short first block and the reverse sweep starts from the forward's
+        # full last block.  The counts named by d cross two edges of the
+        # rule's blocks; the d=3 counts named by their length cross edges of
+        # BLOCK-step blocks.  Every count runs at both block lengths.  With
+        # more steps than MAX_STORED_STEPS the guard terms sit on a decimated
+        # grid and the adjoint state crosses block edges between guard samples.
         sys = transmon_system(num_qudits=1, d=d, guard=2)
-        n_steps = 2 * block_length(sys.dim_total) + 37
         params = _random_pulse(sys, n_steps / 20, 0.8, 27)
         target = gate("H_d", d)
         cfg = ObjectiveConfig(w_guard=0.3, w_l2=1e-4)
