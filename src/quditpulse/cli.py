@@ -438,7 +438,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (PropagationError, OptimizerAbort) as exc:

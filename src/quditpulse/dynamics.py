@@ -290,8 +290,9 @@ def _group_size(n: int, reverse: bool = False) -> int:
     sum.  On a 2-core Xeon that was cheaper than the numpy calls it saves up
     to n = 16 in the forward sweep (10% slower at n = 25, 2q d=3) and up to
     n = 10 in the reverse sweep (5% slower at n = 16, 2q d=2).  It does not
-    grow with the block: reverse groups of isqrt(block) let rebuilt states
-    drift 9x past the 3.1e-13 the tests allow at 1q d=5, 4,400 steps."""
+    grow with the block: at 1q d=5, 4,400 steps, reverse groups of
+    isqrt(block) = 25 put test_rebuilt_states_match_stored_states at 1.9e-13
+    relative, 9x its 2e-14 bound; groups of 11 put it at 7.0e-15."""
     return math.isqrt(BLOCK) if n <= (10 if reverse else 16) else 1
 
 

@@ -77,14 +77,6 @@ class TestFit:
 
 
 class TestEvaluateFit:
-    def test_reported_scaling_consistency(self):
-        # Published quadratic scaling coefficients for the cyclic-increment
-        # gate evaluated at d=8 agree with the directly searched duration.
-        res = FitResult("quadratic", 1.48, 12.02, 4.93, (0.12, 1.18, 2.67), 1.0)
-        value = evaluate_fit(res, 8)
-        assert value == pytest.approx(195.81, abs=1e-9)
-        assert abs(value - 195.0) < 1.0
-
     def test_linear_at_zero_returns_constant(self):
         res = FitResult("linear", None, 5.0, 2.5, (0.1, 0.1), 0.9)
         assert evaluate_fit(res, 0) == 2.5

@@ -577,6 +577,9 @@ class TestBadInput:
     @pytest.mark.parametrize("argv, named", [
         (["optimize", "--gate", "X_d", "--d", "1", "--T", "30"], "need at least 2 essential levels"),
         (["export-lab", "--pulse", "PULSE", "--sample-rate", "1e308"], "--sample-rate"),
+        # Arrays beyond any process address space (1.39 EiB, 710 PiB): numpy refuses them at once.
+        (["optimize", "--gate", "X_d", "--d", "2", "--T", "1e18"], "Unable to allocate"),
+        (["export-lab", "--pulse", "PULSE", "--sample-rate", "1e16"], "Unable to allocate"),
     ])
     def test_bad_argument_is_named(self, tmp_path, capsys, argv, named):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
