@@ -111,6 +111,12 @@ class TestGateLibrary:
     def test_swap2_matches_swap_d(self):
         assert np.allclose(gate("SWAP2").matrix, gate("SWAP_d", 2).matrix)
 
+    @pytest.mark.parametrize("name", ["X_d", "Xs_d", "H_d", "T_d", "Z_d"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_unitary(self, name, d):
+        m = gate(name, d).matrix
+        assert np.max(np.abs(m.conj().T @ m - np.eye(d))) <= 1e-12
+
     def test_unknown_gate(self):
         with pytest.raises(ValueError):
             gate("Y_d", 2)
