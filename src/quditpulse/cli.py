@@ -136,6 +136,15 @@ def _ipr_config(
     )
 
 
+def _sized_by(option: str, value: float, build, *args):
+    """build(*args), or a CliError naming ``option`` if it does not fit in memory.
+    ``ipr`` and ``sweep`` build their first pulse with it only for that check."""
+    try:
+        return build(*args)
+    except MemoryError as exc:
+        raise CliError(f"{option} {value:g} is too large: {exc}") from exc
+
+
 def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -156,7 +165,7 @@ def cmd_optimize(args) -> int:
     cfg = load_config(args.config)
     system = build_system(cfg, args.gate, args.d)
     target = gate(args.gate, args.d)
-    params = default_params(system, args.T)
+    params = _sized_by("--T", args.T, default_params, system, args.T)
     params = params.with_alpha(random_guess(params, cfg.guess_scale, cfg.seed))
     optimizer = _optimizer(cfg, None)
     result = optimizer(system, params, target)
@@ -219,6 +228,7 @@ def cmd_ipr(args) -> int:
     target = gate(args.gate, args.d)
     optimizer = _optimizer(cfg, args.mock_threshold)
     ipr_cfg = _ipr_config(cfg, args.t_start, args.step)
+    _sized_by("--t-start", args.t_start, default_params, system, args.t_start)  # first pulse
     result = ipr_mod.ipr_run(system, target, ipr_cfg, optimizer)
     write_json(args.out, _ipr_result_doc(cfg, ipr_cfg, result, system, args.gate))
     if result.succeeded:
@@ -258,6 +268,7 @@ def cmd_sweep(args) -> int:
             t_start = max(1.0, t2 + slope * (d - d2))
         else:
             t_start = args.t_start
+            _sized_by("--t-start", t_start, default_params, system, t_start)  # first pulse
         base = _ipr_config(cfg, t_start, seed_offset=1000 * d)
         optimizer = _optimizer(cfg, args.mock_threshold, units=d - 1)
         summary = ipr_mod.multi_run(system, target, base, args.runs, optimizer=optimizer)
@@ -340,7 +351,7 @@ def cmd_export_lab(args) -> int:
     if not math.isfinite(samples):
         raise CliError(f"--sample-rate {args.sample_rate} gives a non-finite sample count")
     n_samples = int(round(samples)) + 1
-    times = np.linspace(0.0, params.T, n_samples)
+    times = _sized_by("--sample-rate", args.sample_rate, np.linspace, 0.0, params.T, n_samples)
     amplitudes = pulse_mod.lab_frame_control(params, system.omega_rot, times)
     table = np.column_stack([times, amplitudes.T])
     header = ["time_ns"] + [f"f_{k}" for k in range(params.num_controls)]

@@ -45,8 +45,8 @@ contracted in only its own qudit's L x L kernel enters, projected as
 W^H T W = V^H (R^H T R) V.  Each product with a constant (E^2, E, V) is
 a 2D GEMM over a block's stacked rows, on one BLAS thread.  The only
 eigendecompositions are those cached by ``system_operators``, so their
-number does not grow with the step count.  The spline basis and carrier
-phases of the last step grid used stay cached.
+number does not grow with the step count.  ``propagate`` is the one forward
+pass, and one ``StepGrid`` stays cached.
 """
 
 from __future__ import annotations
@@ -91,20 +91,6 @@ BLOCK = 128
 
 class PropagationError(RuntimeError):
     """Raised when the controls feed non-finite values into the propagator."""
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Stored evolution: times (S,), states (S, n, h), guard_pop (S, h).
-
-    ``states[s, :, c]`` is essential basis column c at time ``times[s]``;
-    ``guard_pop[s, c]`` is that column's total population on
-    guard-containing basis states.
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-    guard_pop: np.ndarray
 
 
 @lru_cache(maxsize=32)
@@ -172,41 +158,38 @@ def system_operators(sys: QuditSystem) -> tuple[Splitting, np.ndarray, np.ndarra
     return split, embed, mask
 
 
-def step_grid(T: float, steps_per_ns: int) -> tuple[int, float]:
-    """Number of steps and step size covering [0, T]."""
-    n_steps = max(1, int(round(T * steps_per_ns)))
-    return n_steps, T / n_steps
+@dataclass(frozen=True, eq=False)
+class StepGrid:
+    """A read-only step grid: step size, spline basis and carrier phases at the
+    step midpoints, stored steps (0 to n_steps, decimated) and guard weights."""
+
+    dt: float
+    midpoints: SampleGrid
+    stored: np.ndarray
+    weights: np.ndarray
 
 
-# One step grid's spline basis and carrier phases stay cached: an optimizer
-# run evaluates many pulses on one grid, and the grid of the largest
-# benchmark system (2q d=3, 150 ns, 1,950 steps at 13 steps/ns) holds 0.53 MB.
+# One step grid stays cached: an optimizer run evaluates many pulses on one
+# grid, and the grid of the largest benchmark system (2q d=3, 150 ns, 1,950
+# steps at 13 steps/ns) holds 0.53 MB.
 @lru_cache(maxsize=1)
-def _midpoint_grid(T: float, n_steps: int, N_b: int, carriers: tuple) -> SampleGrid:
-    return sample_grid(N_b, T, carriers, (np.arange(n_steps) + 0.5) * (T / n_steps))
-
-
-def midpoint_controls(
-    sys: QuditSystem, params: PulseParams, steps_per_ns: int | None
-) -> tuple[float, SampleGrid, np.ndarray, np.ndarray]:
-    """(dt, grid of the step midpoints, p, q) for a pulse at the given resolution."""
-    if steps_per_ns is None:
-        steps_per_ns = default_steps_per_ns(sys)
-    if steps_per_ns < 1:
-        raise ValueError("steps_per_ns must be >= 1")
-    n_steps, dt = step_grid(params.T, steps_per_ns)
-    grid = _midpoint_grid(params.T, n_steps, params.N_b, params.carriers)
-    p, q = eval_controls(params, grid)
-    return dt, grid, p, q
-
-
-def stored_indices(n_steps: int) -> np.ndarray:
-    """Decimated step indices (always including 0 and n_steps)."""
+def step_grid(T: float, steps_per_ns: int, N_b: int, carriers: tuple, n_cols: int) -> StepGrid:
+    """The grid of [0, T] at ``steps_per_ns`` for pulses with these N_b and
+    carriers.  Guard penalty = weights @ (guard population summed over the
+    ``n_cols`` columns): the trapezoid rule's time average over the stored
+    times of the column-averaged guard population."""
+    n_steps = max(1, int(round(T * steps_per_ns)))
+    dt = T / n_steps
     stride = max(1, -(-n_steps // MAX_STORED_STEPS))
-    idx = list(range(0, n_steps + 1, stride))
-    if idx[-1] != n_steps:
-        idx.append(n_steps)
-    return np.asarray(idx)
+    stored = np.append(np.arange(0, n_steps, stride), n_steps)
+    times = stored * dt
+    weights = np.gradient(times)  # trapezoid weights: half the neighbours' span
+    weights[[0, -1]] *= 0.5  # the ends have one neighbour
+    weights /= (times[-1] - times[0]) * n_cols
+    stored.setflags(write=False)
+    weights.setflags(write=False)
+    midpoints = sample_grid(N_b, T, carriers, (np.arange(n_steps) + 0.5) * dt)
+    return StepGrid(dt, midpoints, stored, weights)
 
 
 def _expm1i(x: np.ndarray) -> np.ndarray:
@@ -538,6 +521,30 @@ def guard_population_columns(states: np.ndarray, mask: np.ndarray) -> np.ndarray
     return pop.sum(axis=-2)
 
 
+@dataclass(frozen=True)
+class Trajectory:
+    """One forward sweep: states (S, n, h) and guard_pop (S, h) after
+    ``steps`` (S,) steps of ``grid``, the controls p, q (K, n_steps) at its
+    step midpoints, and ``last``, the sweep's build of its last block.
+
+    ``states[s, :, c]`` is essential basis column c at time ``times[s]``;
+    ``guard_pop[s, c]`` is that column's total population on
+    guard-containing basis states.
+    """
+
+    states: np.ndarray
+    guard_pop: np.ndarray
+    steps: np.ndarray
+    grid: StepGrid
+    p: np.ndarray
+    q: np.ndarray
+    last: tuple
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.steps * self.grid.dt
+
+
 def propagate(
     sys: QuditSystem,
     params: PulseParams,
@@ -546,19 +553,19 @@ def propagate(
 ) -> Trajectory:
     """Evolve the essential basis columns under drift plus controls.
 
-    With ``store_trajectory`` the returned Trajectory holds decimated
-    snapshots; otherwise only the initial and final states.
+    With ``store_trajectory`` the Trajectory holds the states on the grid's
+    stored steps; otherwise only the initial and final states.
     """
+    if steps_per_ns is None:
+        steps_per_ns = default_steps_per_ns(sys)
+    if steps_per_ns < 1:
+        raise ValueError("steps_per_ns must be >= 1")
     split, embed, mask = system_operators(sys)
-    dt, _, p, q = midpoint_controls(sys, params, steps_per_ns)
-    n_steps = p.shape[1]
-    idx = stored_indices(n_steps) if store_trajectory else np.asarray([0, n_steps])
-    states, _ = propagate_sequence(split, p, q, dt, embed, idx)
-    return Trajectory(
-        times=idx * dt,
-        states=states,
-        guard_pop=guard_population_columns(states, mask),
-    )
+    grid = step_grid(params.T, steps_per_ns, params.N_b, params.carriers, sys.dim_essential)
+    p, q = eval_controls(params, grid.midpoints)
+    steps = grid.stored if store_trajectory else np.asarray([0, p.shape[1]])
+    states, last = propagate_sequence(split, p, q, grid.dt, embed, steps)
+    return Trajectory(states, guard_population_columns(states, mask), steps, grid, p, q, last)
 
 
 def guard_populations(traj: Trajectory) -> np.ndarray:

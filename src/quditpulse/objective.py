@@ -9,16 +9,13 @@ where the first term is the global-phase-invariant trace infidelity on the
 essential subspace and the second is the time-averaged population of
 guard-containing basis states on the decimated trajectory grid.
 
-``forward`` propagates once through the Strang steps of
-``dynamics.propagate_sequence``, keeping the states on the guard grid (the
-last of them the final state) and the last block of steps, and returns a
-``ForwardCache`` with the value parts.  ``backward(cache)`` turns it into
-the gradient without a second forward sweep: it hands the infidelity's
-final-state cotangent, the guard-grid states and weights and that block to
-``dynamics.reverse_sequence``, the exact adjoint of those steps, which
-rebuilds the states between backwards from the stored ones, the control
-sensitivities to ``pulse.controls_adjoint``, and adds the L2 term.  It only
-reads the cache, so it can run on one cache twice.
+``forward`` is one ``dynamics.propagate``, whose trajectory holds the
+states on the guard grid (the last of them the final state), plus the value
+parts.  ``backward(cache)`` turns it into the gradient without a second
+forward sweep: it hands the infidelity's final-state cotangent and the
+trajectory to ``dynamics.reverse_sequence``, the exact adjoint of its steps,
+the control sensitivities to ``pulse.controls_adjoint``, and adds the L2
+term.  It only reads the cache, so it can run on one cache twice.
 The gradient is exact for the discrete propagator, so it matches finite
 differences of the same objective, not of the continuous-time one.
 The other entry points wrap these; ``gradient(..., method="fd")`` is a
@@ -28,22 +25,19 @@ finite-difference fallback.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .dynamics import (
     ERROR_THRESHOLD,
     PropagationError,
-    guard_population_columns,
-    midpoint_controls,
-    propagate_sequence,
+    Trajectory,
+    propagate,
     reverse_sequence,
-    stored_indices,
     system_operators,
 )
 from .model import GateSpec, QuditSystem, embed_target
-from .pulse import PulseParams, SampleGrid, controls_adjoint
+from .pulse import PulseParams, controls_adjoint
 
 FD_STEP_FRACTION = 1e-6
 
@@ -86,43 +80,17 @@ def trace_infidelity(final_states: np.ndarray, v_embedded: np.ndarray) -> float:
     return float(min(1.0, max(0.0, 1.0 - (abs(overlap) ** 2) / v_embedded.shape[1]**2)))
 
 
-@lru_cache(maxsize=1)
-def _guard_weights(n_steps: int, dt: float, n_cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """Guard-grid step indices and weights c on their states, both read-only:
-    guard penalty = c @ (guard population summed over columns), the
-    trapezoid-rule time average over the stored times of the column-averaged
-    guard population."""
-    idx = stored_indices(n_steps)
-    times = idx * dt
-    w = np.empty_like(times)
-    w[0] = 0.5 * (times[1] - times[0])
-    w[-1] = 0.5 * (times[-1] - times[-2])
-    w[1:-1] = 0.5 * (times[2:] - times[:-2])
-    w /= (times[-1] - times[0]) * n_cols
-    idx.setflags(write=False)
-    w.setflags(write=False)
-    return idx, w
-
-
 @dataclass(frozen=True, eq=False)
 class ForwardCache:
-    """One forward pass: inputs, ``guard_states[i]`` after ``guard_steps[i]``
-    steps (the last is the final state), the last block's step build, the
-    guard penalty's weight on each guard-grid state, and the value parts."""
+    """One forward pass: inputs, the ``propagate`` trajectory on the guard
+    grid (its last state the final one) and the value parts."""
 
     sys: QuditSystem
     params: PulseParams
     cfg: ObjectiveConfig
-    dt: float
-    grid: SampleGrid
-    p: np.ndarray
-    q: np.ndarray
-    guard_steps: np.ndarray
-    guard_states: np.ndarray
-    last: tuple
+    traj: Trajectory
     v_emb: np.ndarray
     overlap: complex
-    guard_coef: np.ndarray
     total: float
     infidelity: float
     guard: float
@@ -136,29 +104,24 @@ def forward(
     steps_per_ns: int | None = None,
 ) -> ForwardCache:
     """Propagate once, keeping the guard-grid states, and evaluate the objective."""
-    split, embed, mask = system_operators(sys)
-    dt, grid, p, q = midpoint_controls(sys, params, steps_per_ns)
-    idx, coef = _guard_weights(p.shape[1], dt, sys.dim_essential)
-    states, last = propagate_sequence(split, p, q, dt, embed, idx)
+    traj = propagate(sys, params, steps_per_ns)
     v_emb = embed_target(target, sys)
-    infid = trace_infidelity(states[-1], v_emb)
-    guard = float(coef @ guard_population_columns(states, mask).sum(axis=-1))
+    infid = trace_infidelity(traj.states[-1], v_emb)
+    guard = float(traj.grid.weights @ traj.guard_pop.sum(axis=-1))
     total = infid + cfg.w_guard * guard + cfg.w_l2 * float(params.alpha @ params.alpha)
-    overlap = np.vdot(v_emb, states[-1])
-    return ForwardCache(sys, params, cfg, dt, grid, p, q, idx, states, last, v_emb, overlap,
-                        coef, total, infid, guard)
+    overlap = np.vdot(v_emb, traj.states[-1])
+    return ForwardCache(sys, params, cfg, traj, v_emb, overlap, total, infid, guard)
 
 
 def backward(cache: ForwardCache) -> np.ndarray:
     """Adjoint gradient of ``cache.total`` in alpha; pinned coefficients get 0."""
-    sys, params, cfg = cache.sys, cache.params, cache.cfg
+    sys, params, cfg, traj = cache.sys, cache.params, cache.cfg, cache.traj
     split, _, mask = system_operators(sys)
     # dJ/d conj(psi_T) of the infidelity 1 - |<V, psi_T>|^2 / h^2
     lam = -(cache.overlap / sys.dim_essential**2) * cache.v_emb
-    sens = reverse_sequence(split, cache.p, cache.q, cache.dt, cache.guard_steps,
-                            cache.guard_states, lam, cfg.w_guard * cache.guard_coef, mask,
-                            cache.last)
-    grad = controls_adjoint(cache.grid, sens)
+    sens = reverse_sequence(split, traj.p, traj.q, traj.grid.dt, traj.steps, traj.states, lam,
+                            cfg.w_guard * traj.grid.weights, mask, traj.last)
+    grad = controls_adjoint(traj.grid.midpoints, sens)
     grad += 2.0 * cfg.w_l2 * params.alpha
     grad[params.boundary_mask()] = 0.0
     return grad

@@ -257,9 +257,8 @@ def refit(params: PulseParams, T_new: float) -> PulseParams:
     k_ctrl, n_f = coeff.shape[0], coeff.shape[1]
     inside = ts <= params.T * (1 + 1e-12)
     targets = np.zeros((k_ctrl, n_f, n_samples), dtype=complex)
-    if np.any(inside):
-        basis_old = basis_matrix(params.N_b, params.T, ts[inside])
-        targets[:, :, inside] = coeff @ basis_old.T
+    basis_old = basis_matrix(params.N_b, params.T, ts[inside])
+    targets[:, :, inside] = coeff @ basis_old.T
 
     design = basis_matrix(n_b_new, T_new, ts)[:, 1:-1]  # interior splines only
     rhs = targets.reshape(k_ctrl * n_f, n_samples).T

@@ -11,7 +11,6 @@ import pytest
 from quditpulse.analysis import FitResult, evaluate_fit, fit
 from quditpulse.dynamics import (
     guard_populations,
-    midpoint_controls,
     propagate,
     propagate_sequence,
     resolutions,
@@ -85,9 +84,9 @@ def test_criterion_03_propagator_unitarity_and_order():
         params = default_params(sys, 5.0)
         params = params.with_alpha(random_guess(params, 0.8, seed))
         split, _, _ = system_operators(sys)
-        dt, _, p, q = midpoint_controls(sys, params, None)
+        traj = propagate(sys, params, store_trajectory=False)
         eye = np.eye(sys.dim_total, dtype=complex)
-        u = propagate_sequence(split, p, q, dt, eye, [p.shape[1]])[0][-1]
+        u = propagate_sequence(split, traj.p, traj.q, traj.grid.dt, eye, [traj.p.shape[1]])[0][-1]
         assert np.max(np.abs(u.conj().T @ u - np.eye(sys.dim_total))) <= 1e-10
 
     sys = transmon_system(num_qudits=1, d=3, guard=2)

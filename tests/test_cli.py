@@ -577,9 +577,14 @@ class TestBadInput:
     @pytest.mark.parametrize("argv, named", [
         (["optimize", "--gate", "X_d", "--d", "1", "--T", "30"], "need at least 2 essential levels"),
         (["export-lab", "--pulse", "PULSE", "--sample-rate", "1e308"], "--sample-rate"),
-        # Arrays beyond any process address space (1.39 EiB, 710 PiB): numpy refuses them at once.
-        (["optimize", "--gate", "X_d", "--d", "2", "--T", "1e18"], "Unable to allocate"),
-        (["export-lab", "--pulse", "PULSE", "--sample-rate", "1e16"], "Unable to allocate"),
+        # Arrays beyond any process address space (1.39 EiB, 710 PiB): numpy
+        # refuses them at once, and the error names the option that sized them.
+        *(pytest.param(argv, argv[-2], id=f"argv{i}-Unable to allocate") for i, argv in enumerate([
+            ["optimize", "--gate", "X_d", "--d", "2", "--T", "1e18"],
+            ["export-lab", "--pulse", "PULSE", "--sample-rate", "1e16"],
+            ["ipr", "--gate", "X_d", "--t-start", "1e18"],
+            ["sweep", "--gate", "X_d", "--d-range", "2", "--runs", "1", "--t-start", "1e18"],
+        ], start=2)),
     ])
     def test_bad_argument_is_named(self, tmp_path, capsys, argv, named):
         sys = transmon_system(num_qudits=1, d=2, guard=2)

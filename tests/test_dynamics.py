@@ -13,14 +13,12 @@ from quditpulse.dynamics import (
     block_length,
     default_steps_per_ns,
     guard_populations,
-    midpoint_controls,
     propagate,
     propagate_sequence,
     resolutions,
     reverse_sequence,
     step_grid,
     step_unitaries,
-    stored_indices,
     system_operators,
 )
 from quditpulse.model import (
@@ -39,6 +37,11 @@ from reference import control_hamiltonian, per_step_sensitivities
 def _random_pulse(sys, T, scale, seed):
     params = default_params(sys, T)
     return params.with_alpha(random_guess(params, scale, seed))
+
+
+def _stored(n_steps):
+    """The decimated stored steps of a grid of n_steps steps."""
+    return step_grid(float(n_steps), 1, 3, ((0.0,),), 1).stored
 
 
 class TestPropagate:
@@ -66,9 +69,9 @@ class TestPropagate:
         sys = transmon_system(num_qudits=1, d=3, guard=2)
         params = _random_pulse(sys, 12.0, 0.7, 8)
         split, embed, _ = system_operators(sys)
-        n_steps, dt = step_grid(params.T, 20)
-        mid = (np.arange(n_steps) + 0.5) * dt
-        p, q = eval_controls(params, mid)
+        grid = step_grid(params.T, 20, params.N_b, params.carriers, sys.dim_essential)
+        n_steps, dt = grid.stored[-1], grid.dt
+        p, q = eval_controls(params, grid.midpoints)
         forward = propagate_sequence(split, p, q, dt, embed, [n_steps])[0][-1]
         negated_drift = replace(split, drift_vals=-split.drift_vals)
         back = propagate_sequence(
@@ -230,7 +233,7 @@ class TestFactorKernels:
         # final state alone, 8.6e-14 and 1.8e-13).
         _, split, embed, mask, p, q, dt, rng = _factor_system(num_qudits, d, n_steps, d)
         lam = rng.standard_normal(embed.shape) + 1j * rng.standard_normal(embed.shape)
-        grid = stored_indices(n_steps)
+        grid = _stored(n_steps)
         coef = np.zeros(n_steps + 1)
         coef[grid] = rng.uniform(0.0, 0.5, len(grid))
         grads = []
@@ -278,7 +281,7 @@ class TestFactorKernels:
         for length in (None, BLOCK):
             if length is not None:
                 monkeypatch.setattr(dynamics, "block_length", lambda n: length)
-            for store in (np.arange(n_steps + 1), stored_indices(n_steps)):
+            for store in (np.arange(n_steps + 1), _stored(n_steps)):
                 states, last = propagate_sequence(split, p, q, dt, embed, store)
                 grad = reverse_sequence(split, p, q, dt, store, states, lam,
                                         np.full(len(store), 0.1), mask, last)
@@ -346,11 +349,11 @@ class TestSweep:
         group = _group_size(sys.dim_total)
         for n_steps in (max(1, group - 1), group + 1, block_length(sys.dim_total) + group + 1):
             params = _random_pulse(sys, n_steps / steps_per_ns, 0.5, n_steps)
-            final = propagate(sys, params, steps_per_ns, store_trajectory=False).states[-1]
-            dt, _, p, q = midpoint_controls(sys, params, steps_per_ns)
-            assert p.shape[1] == n_steps
-            dense, _ = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
-            assert np.max(np.abs(final - dense[-1])) <= 1e-14, n_steps
+            traj = propagate(sys, params, steps_per_ns, store_trajectory=False)
+            assert traj.p.shape[1] == n_steps
+            dense, _ = propagate_sequence(split, traj.p, traj.q, traj.grid.dt, embed,
+                                          np.arange(n_steps + 1))
+            assert np.max(np.abs(traj.states[-1] - dense[-1])) <= 1e-14, n_steps
 
 
 class TestTrajectory:
@@ -371,7 +374,7 @@ class TestTrajectory:
         assert np.all(g >= 0.0) and np.all(g <= 1.0)
 
     def test_decimation_includes_endpoints(self):
-        idx = stored_indices(4321)
+        idx = _stored(4321)
         assert idx[0] == 0 and idx[-1] == 4321
         assert np.all(np.diff(idx) > 0)
         assert len(idx) <= 1002

@@ -1,5 +1,4 @@
 import dataclasses
-import importlib
 import tracemalloc
 
 import numpy as np
@@ -14,6 +13,7 @@ from quditpulse.dynamics import (
     guard_population_columns,
     propagate,
     propagate_sequence,
+    step_grid,
     system_operators,
 )
 from quditpulse.model import GateSpec, embed_target, gate, transmon_system
@@ -30,9 +30,6 @@ from quditpulse.objective import (
 from quditpulse.pulse import basis_matrix, default_params, random_guess
 from reference import per_step_sensitivities
 
-# The package rebinds the name ``objective`` to the function.
-objective_mod = importlib.import_module("quditpulse.objective")
-
 # Steps per block of both sweeps at 2q d=3.
 TWO_QUDIT_BLOCK = block_length(transmon_system(num_qudits=2, d=3, guard=2).dim_total)
 
@@ -45,19 +42,20 @@ def _random_pulse(sys, T, scale, seed):
 def _full_trajectory(cache):
     """All n_steps + 1 states of the cache's pulse, stored by the forward sweep."""
     split, embed, _ = system_operators(cache.sys)
-    n_steps = cache.p.shape[1]
-    return propagate_sequence(split, cache.p, cache.q, cache.dt, embed, np.arange(n_steps + 1))[0]
+    traj = cache.traj
+    n_steps = traj.p.shape[1]
+    return propagate_sequence(split, traj.p, traj.q, traj.grid.dt, embed, np.arange(n_steps + 1))[0]
 
 
 def _per_step_reference_gradient(cache):
     """``per_step_sensitivities`` over the stored states of every step,
     taken to alpha by the chain rule, with the L2 term and the pinned zeros."""
-    sys, params, cfg, dt = cache.sys, cache.params, cache.cfg, cache.dt
-    n_steps = cache.p.shape[1]
+    sys, params, cfg, traj = cache.sys, cache.params, cache.cfg, cache.traj
+    n_steps, dt = traj.p.shape[1], traj.grid.dt
     guard_coef = np.zeros(n_steps + 1)
-    guard_coef[cache.guard_steps] = cfg.w_guard * cache.guard_coef
+    guard_coef[traj.steps] = cfg.w_guard * traj.grid.weights
     lam = -(cache.overlap / sys.dim_essential**2) * cache.v_emb
-    s_a, s_b = per_step_sensitivities(sys, cache.p, cache.q, dt, _full_trajectory(cache), lam,
+    s_a, s_b = per_step_sensitivities(sys, traj.p, traj.q, dt, _full_trajectory(cache), lam,
                                       guard_coef)
     midpoints = (np.arange(n_steps) + 0.5) * dt
     basis_mid = basis_matrix(params.N_b, params.T, midpoints)
@@ -131,7 +129,7 @@ class TestGuardPenalty:
         def constant(states, mask):
             return np.full((len(states), states.shape[2]), 0.25)
 
-        monkeypatch.setattr(objective_mod, "guard_population_columns", constant)
+        monkeypatch.setattr(dynamics, "guard_population_columns", constant)
         sys = transmon_system(num_qudits=1, d=3, guard=2)
         params = _random_pulse(sys, 10.0, 0.5, 4)
         assert forward(sys, params, gate("X_d", 3), ObjectiveConfig()).guard == pytest.approx(0.25)
@@ -146,19 +144,22 @@ class TestGuardPenalty:
         times = np.linspace(0.0, params.T, len(states))
         pop = guard_population_columns(states, mask).sum(axis=-1) / sys.dim_essential
         full = np.sum(0.5 * (pop[1:] + pop[:-1]) * np.diff(times)) / params.T
-        assert len(cache.guard_states) < len(states)
+        assert len(cache.traj.states) < len(states)
         assert cache.guard == pytest.approx(full, abs=1e-4)
 
     @pytest.mark.parametrize("n_steps", [1, 2, 125, 1000, 1001, 4321])
     def test_weights_built_once_per_grid(self, n_steps):
-        dt, n_cols = 0.05, 3
-        idx, coef = objective_mod._guard_weights(n_steps, dt, n_cols)
+        sys = transmon_system(num_qudits=1, d=3, guard=2)
+        params = default_params(sys, n_steps / 20)
+        grid = step_grid(params.T, 20, params.N_b, params.carriers, sys.dim_essential)
+        idx, coef = grid.stored, grid.weights
         assert idx[0] == 0 and idx[-1] == n_steps
         assert len(coef) == len(idx) and coef.min() > 0
         # The trapezoid weights of a time average sum to one, per column.
-        assert coef.sum() == pytest.approx(1.0 / n_cols, rel=1e-12)
+        assert coef.sum() == pytest.approx(1.0 / sys.dim_essential, rel=1e-12)
         assert not idx.flags.writeable and not coef.flags.writeable
-        assert objective_mod._guard_weights(n_steps, dt, n_cols)[1] is coef
+        cache = forward(sys, params, gate("X_d", 3), ObjectiveConfig(), steps_per_ns=20)
+        assert cache.traj.grid is propagate(sys, params, steps_per_ns=20).grid is grid
 
 
 class TestObjective:
@@ -220,8 +221,8 @@ class TestGradient:
         target = gate(gate_name, d)
         cfg = ObjectiveConfig(w_guard=0.3)
         cache = forward(sys, params, target, cfg)
-        n_steps = cache.p.shape[1]
-        every_step = np.count_nonzero(cache.guard_coef) == n_steps + 1
+        n_steps = cache.traj.p.shape[1]
+        every_step = np.count_nonzero(cache.traj.grid.weights) == n_steps + 1
         assert every_step == (n_steps <= MAX_STORED_STEPS)
         rng = np.random.default_rng(31)
         direction = rng.standard_normal(params.alpha.size)
@@ -251,8 +252,8 @@ class TestGradient:
         target = gate("H_d", d)
         cfg = ObjectiveConfig(w_guard=0.3, w_l2=1e-4)
         cache = forward(sys, params, target, cfg, steps_per_ns=20)
-        assert cache.p.shape[1] == n_steps
-        decimated = np.count_nonzero(cache.guard_coef) < n_steps
+        assert cache.traj.p.shape[1] == n_steps
+        decimated = np.count_nonzero(cache.traj.grid.weights) < n_steps
         assert decimated == (n_steps > MAX_STORED_STEPS)
         reference = _per_step_reference_gradient(cache)
         for length in (block_length(sys.dim_total), BLOCK):
@@ -268,7 +269,7 @@ class TestGradient:
         params = _random_pulse(sys, n_steps / 40, 0.8, 28)
         cfg = ObjectiveConfig(w_guard=0.3, w_l2=1e-4)
         cache = forward(sys, params, gate("SWAP_d", 3), cfg, steps_per_ns=40)
-        assert cache.p.shape[1] == n_steps
+        assert cache.traj.p.shape[1] == n_steps
         reference = _per_step_reference_gradient(cache)
         assert np.max(np.abs(backward(cache) - reference)) <= 1e-13 * np.max(np.abs(reference))
 
@@ -293,7 +294,7 @@ class TestGradient:
 
         before = [a.copy() for a in arrays(cache)]
         first, second = backward(cache), backward(cache)
-        assert cache.last is not None and first.tobytes() == second.tobytes()
+        assert cache.traj.last is not None and first.tobytes() == second.tobytes()
         after = arrays(cache)
         assert len(after) == len(before)
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
@@ -358,7 +359,7 @@ class TestMemory:
         assert peak <= 14e6
 
         cache = forward(sys, params, target, cfg, 40)
-        n_steps = cache.p.shape[1]
+        n_steps = cache.traj.p.shape[1]
 
         def leading_axes(value):
             if isinstance(value, np.ndarray):
