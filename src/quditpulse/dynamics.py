@@ -22,15 +22,16 @@ any column-level parallelism.
 Both sweeps carry chi_m = E^-1 psi_m through the merged steps
 M_m = K_m E^2 and recover psi = E chi a block at a time.  Both build their
 steps ``block_length`` at a time with ``step_unitaries``, in blocks aligned
-to the end of the pulse, so only the first block can be short.  The forward
+to the end of the pulse, so only the first block can be short, into
+buffers that each thread keeps for its latest block shape.  The forward
 sweep ``propagate_sequence`` multiplies, for matrices up to 16 x 16, prefix
 products over groups of steps, built for all groups of a block at once, and
 applies each group's to chi as one GEMM, or, in a block that stores no
 state before its last step, the product of its steps, taken pairwise.  It
 stores only the states it is asked for, and hands its build of the last
-block (per-qudit eigenpairs and exponentials, and the M_m copied before the
-prefix products overwrite them) to the reverse sweep, which starts there
-and so builds one block fewer.  Its exact discrete adjoint
+block (per-qudit eigenpairs and exponentials, and the M_m copied out of the
+buffers before the prefix products overwrite them) to the reverse sweep,
+which starts there and so builds one block fewer.  Its exact discrete adjoint
 ``reverse_sequence`` carries mu_m = lambda_m^H E back through the same M_m:
 mu_m = mu_{m+1} M_m + g_m with g_m the guard term.  Every M_m is unitary,
 so where the forward stored only some states, chi_m^H = chi_{m+1}^H M_m
@@ -52,6 +53,7 @@ pass, and one ``StepGrid`` stays cached.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -79,14 +81,20 @@ MAX_STORED_STEPS = 1000
 # two, as the reverse sweep splits its 2h rebuild rows in two where they reach
 # it (120,050 at 2q d=5).  From 2q d=6 the h columns do too (147,456).  The
 # forward's group products stack at most 11 x 16 rows (45,056 at n = h = 16).
+# The two-qudit step build applies K_1 as B * L products (L x L) @ (L x n) for
+# a block of B steps and L levels per qudit (2,401 at 2q d=5).
 GEMM_THREAD_BOUND = 65_536
 
 # Steps per block of both sweeps (``block_length``): as many n x n steps as
 # fit in the 512 KiB of BLOCK 16 x 16 steps (2q d=2), and at least BLOCK, so
 # 2,048 at 1q d=2 and 128 on two qudits.  A block costs about 50 numpy calls
 # whatever its length; on 2q d=2, T=100 ns (2-core Xeon), 512-step blocks
-# were no faster and raised peak RSS from 51 to 59 MB.
+# were no faster and raised peak RSS from 51 to 59 MB, measured when every
+# block built its steps in fresh arrays, before the step buffers.
 BLOCK = 128
+
+# Each thread's step-build buffers (``_step_buffers``).
+_buffers = threading.local()
 
 
 class PropagationError(RuntimeError):
@@ -206,13 +214,15 @@ def _drift_exponential(split: Splitting, t: float) -> np.ndarray:
     return out
 
 
-def _gemm(rows: np.ndarray, const: np.ndarray) -> np.ndarray:
+def _gemm(rows: np.ndarray, const: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """rows @ const for a stack of rows (..., k) and a constant (k, n): 2D GEMMs
     over near-equal chunks of m rows, m * k * n < ``GEMM_THREAD_BOUND``, so each
     runs on one BLAS thread and, where m >= 3, none is a matrix-vector product,
-    which BLAS rounds differently."""
+    which BLAS rounds differently.  ``out``, if given, is a C-contiguous array
+    of as many elements as the product, which it is written into."""
     flat = rows.reshape(-1, rows.shape[-1])
-    out = np.empty((len(flat), const.shape[1]), dtype=complex)
+    shape = (len(flat), const.shape[1])
+    out = np.empty(shape, dtype=complex) if out is None else out.reshape(shape)
     parts = -(-len(flat) // max(1, (GEMM_THREAD_BOUND - 1) // const.size))
     for i in range(parts):
         lo, hi = len(flat) * i // parts, len(flat) * (i + 1) // parts
@@ -228,16 +238,28 @@ def _left_gemm(const: np.ndarray, stack: np.ndarray) -> np.ndarray:
 def _qudit_exponential(split: Splitting, p: np.ndarray, q: np.ndarray,
                        dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Eigenvalues r D, phases R = exp(-1j theta N) and exp(-1j dt (p A + q B))
-    of one qudit's control term at each sample of p, q."""
+    of each qudit's control term at each sample of p, q (qudits, samples)."""
     levels = len(split.ladder_vals)
-    vals = np.hypot(p, q)[:, None] * split.ladder_vals
-    phases = np.exp(-1j * np.arctan2(q, p)[:, None] * np.arange(levels))
+    vals = np.hypot(p, q)[..., None] * split.ladder_vals
+    phases = np.exp(-1j * np.arctan2(q, p)[..., None] * np.arange(levels))
     # I + (R R^H) o (f @ O), f = exp(-1j dt r D) - 1, keeps the rounding of
     # W W^H out of the identity part, so the steps' norm error does not add up.
-    kmat = _gemm(_expm1i(dt * vals), split.ladder_outer).reshape(-1, levels, levels)
-    kmat *= phases[:, :, None] * phases.conj()[:, None, :]
+    kmat = _gemm(_expm1i(dt * vals), split.ladder_outer).reshape(p.shape + (levels, levels))
+    kmat *= phases[..., :, None] * phases.conj()[..., None, :]
     kmat += np.eye(levels)
     return vals, phases, kmat
+
+
+def _step_buffers(n: int, length: int) -> np.ndarray:
+    """This thread's ``step_unitaries`` buffers for blocks of up to ``length``
+    n x n steps: the K_2 product rows (unused on one qudit) and the steps.
+    Only the most recent shape is kept, and it outlives the sweeps: glibc
+    hands arrays of a block's size back to the kernel when they are freed,
+    and fresh ones cost about 90 minor page faults per 2q d=2 build."""
+    arrays = getattr(_buffers, "arrays", None)
+    if arrays is None or arrays.shape != (2, length, n, n):
+        arrays = _buffers.arrays = np.empty((2, length, n, n), dtype=complex)
+    return arrays
 
 
 def step_unitaries(
@@ -246,25 +268,29 @@ def step_unitaries(
     q: np.ndarray,
     dt: float,
     sl: slice,
-) -> tuple[list, np.ndarray]:
+    out: np.ndarray | None = None,
+) -> tuple[tuple, np.ndarray]:
     """Per-qudit control eigenpairs and merged steps for one chunk of midpoints.
 
-    Returns (qudits, steps): for each qudit the (eigvals, phases,
-    exponential) of its control term, and M = K E^2 at each midpoint, all
-    with leading axis over steps.
+    Returns (qudits, steps): the (eigvals, phases, exponentials) of the
+    qudits' control terms, each with leading axes (qudit, step), and
+    M = K E^2 at each midpoint, built in ``out`` from ``_step_buffers`` if
+    given: the steps are then a view of it, valid until its next use.
     """
-    qudits = [_qudit_exponential(split, p[k, sl], q[k, sl], dt)
-              for k in range(split.num_qudits)]
+    qudits = _qudit_exponential(split, p[:, sl], q[:, sl], dt)
+    kmats = qudits[2]
+    size, levels, n = kmats.shape[1], kmats.shape[2], len(split.drift_vals)
+    rows, steps = np.empty((2, size, n, n), dtype=complex) if out is None else out[:, :size]
     drift = _drift_exponential(split, dt)
     if split.num_qudits == 1:
-        return qudits, _gemm(qudits[0][2], drift)
+        return qudits, _gemm(kmats[0], drift, out=steps)
     # (K_1 (x) K_2) E^2: K_2 on the second qudit's index of E^2 as one GEMM,
-    # then K_1 on the first qudit's, step by step.
-    (_, _, k_1), (_, _, k_2) = qudits
-    size, levels = k_1.shape[:2]
+    # then K_1 on the first qudit's as size * L products (L x L) @ (L x n),
+    # written through a transposed view of the steps.
     drift = drift.reshape(levels, levels, -1).swapaxes(0, 1).reshape(levels, -1)
-    inner = _gemm(k_2, drift).reshape(size, levels, levels, -1).swapaxes(1, 2)
-    return qudits, (k_1 @ inner.reshape(size, levels, -1)).reshape(size, levels**2, -1)
+    raw = _gemm(kmats[1], drift, out=rows).reshape(size, levels, levels, n)
+    np.matmul(kmats[0][:, None], raw, out=steps.reshape(size, levels, levels, n).swapaxes(1, 2))
+    return qudits, steps
 
 
 def _group_size(n: int, reverse: bool = False) -> int:
@@ -329,21 +355,23 @@ def propagate_sequence(
     length = block_length(n)
     chis = np.empty((min(length, n_steps),) + chi.shape, dtype=complex)
     group = _group_size(n)
+    buffers = _step_buffers(n, length)
     last = None
     slot = 0
     if wanted[0] == 0:
         states[0] = initial
         slot = 1
     for start, stop in _block_edges(n_steps, length):
-        qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
+        qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop), out=buffers)
         block = chis[: stop - start]
         # A block that stores no state before its last step needs only the
         # product of its steps, which leaves them as they are.
         chained = slot == len(wanted) or wanted[slot] >= stop
         if stop == n_steps:
-            # Kept before the prefix products below overwrite the steps.
-            last = (qudits, steps.copy() if group > 1 and not chained else steps)
-            for arr in (last[1], *(a for qudit in qudits for a in qudit)):
+            # Copied out of the buffers, which later blocks and sweeps reuse,
+            # before the prefix products below overwrite the steps.
+            last = (qudits, steps.copy())
+            for arr in (last[1], *qudits):
                 arr.setflags(write=False)
         if chained:
             chi = block[-1] = _chain_product(steps) @ chi
@@ -398,6 +426,7 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
     half = _drift_exponential(split, 0.5 * dt)
     drift = _drift_exponential(split, dt)
     group = _group_size(len(half), reverse=True)
+    buffers = _step_buffers(len(half), block_length(len(half)))
     length = min(block_length(len(half)), n_steps)
     # Rows :h hold mu_m = lambda_m^H E, so lambda_m = S_m^H lambda_{m+1} plus
     # the guard term of step m is mu_m = mu_{m+1} M_m + coef[m] psi_m^H mask E.
@@ -421,16 +450,16 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
     upper = np.empty((n_q, n_steps), dtype=complex)
 
     # Each block runs in two calls whose arrays die when they return, so
-    # the steps are freed before the kernels run and only the eigenpairs
-    # outlive a block.
-    def recurrence(start: int, stop: int, mu: np.ndarray) -> list:
+    # the block's temporaries are freed before the kernels run and only the
+    # eigenpairs outlive a block; its steps stay in this thread's buffers.
+    def recurrence(start: int, stop: int, mu: np.ndarray) -> tuple:
         """mus[i] = rows_{start+i} for i <= size from mu = rows_stop; returns
         the block's per-qudit control eigenpairs and exponentials."""
         size = stop - start
         if stop == n_steps:
             qudits, steps = last
         else:
-            qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
+            qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop), out=buffers)
         # The guard terms, built only at the steps that have one.
         hot = np.flatnonzero(coef[start:stop])
         guard = states[np.searchsorted(store, start + hot)].conj().swapaxes(1, 2) * mask
@@ -475,7 +504,7 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
             mu = rows[min(r + group, size) - 1]
         return qudits
 
-    def sensitivities(start: int, stop: int, qudits: list) -> None:
+    def sensitivities(start: int, stop: int, qudits: tuple) -> None:
         size = stop - start
         # S_m = E K_m E, so K_m's derivative sees E psi_m = E^2 chi_m and
         # mu_{m+1}: dJ/dc = 2 Re sum(G o (W^H T W)^T o W^H C W) for a control
@@ -488,24 +517,24 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
         else:
             kets = _left_gemm(half, states[start:stop])
         bras = mus[1:size + 1, :h]
+        vals, phases, kmats = qudits
         if n_q == 1:
-            reduced = [kets @ bras]
+            reduced = (kets @ bras)[None]
         else:
-            (_, _, k_1), (_, _, k_2) = qudits
             kets = kets.reshape(size, levels, levels, -1)
             bras = bras.reshape(size, -1, levels, levels)
-            reduced = [_traced_pair(kets, bras, k_2),
-                       _traced_pair(kets.swapaxes(1, 2), bras.swapaxes(2, 3), k_1)]
+            reduced = np.stack([_traced_pair(kets, bras, kmats[1]),
+                                _traced_pair(kets.swapaxes(1, 2), bras.swapaxes(2, 3), kmats[0])])
         # W = R V, so (W^H T W)^T = (R^H T R V)^T conj(V).  With alpha = V^H a V,
         # W^H A W = e^{-i theta} alpha + e^{i theta} alpha^H and W^H B W =
-        # 1j (e^{-i theta} alpha - e^{i theta} alpha^H), e^{-i theta} = R[:, 1].
-        for k, ((vals, phases, _), t_k) in enumerate(zip(qudits, reduced)):
-            projected = _gemm(phases.conj()[:, :, None] * t_k * phases[:, None, :], vecs)
-            pair = _gemm(projected.swapaxes(1, 2), vecs.conj())
-            weighted = _exp_derivative_kernel(vals, dt) * pair
-            phase = phases[:, 1]
-            lower[k, start:stop] = phase * np.einsum("bij,ij->b", weighted, lowering)
-            upper[k, start:stop] = phase.conj() * np.einsum("bij,ji->b", weighted, lowering.conj())
+        # 1j (e^{-i theta} alpha - e^{i theta} alpha^H), e^{-i theta} = R[..., 1],
+        # for all qudits at once.
+        projected = _gemm(phases.conj()[..., :, None] * reduced * phases[..., None, :], vecs)
+        pair = _gemm(projected.swapaxes(-1, -2), vecs.conj())
+        weighted = _exp_derivative_kernel(vals, dt) * pair
+        phase = phases[..., 1]
+        lower[:, start:stop] = phase * np.einsum("kbij,ij->kb", weighted, lowering)
+        upper[:, start:stop] = phase.conj() * np.einsum("kbij,ji->kb", weighted, lowering.conj())
 
     for start, stop in reversed(_block_edges(n_steps, length)):
         sensitivities(start, stop, recurrence(start, stop, mu))
@@ -515,10 +544,16 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
 
 def guard_population_columns(states: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per-column population on guard-containing basis states of a stack of
-    states (S, n, h); only the guard rows are copied."""
-    pop = np.abs(states[:, mask])
-    pop *= pop
-    return pop.sum(axis=-2)
+    states (S, n, h).  Only the guard rows are copied, from chunks of states
+    of at most 8,192 entries: with the step buffers alive, a copy of all of
+    them (2.25 MB at 2q d=3, 150 ns) set a forward's peak memory."""
+    pop = np.empty((len(states), states.shape[-1]))
+    chunk = max(1, 8192 // states[0].size)
+    for s in range(0, len(states), chunk):
+        part = np.abs(states[s:s + chunk, mask])
+        part *= part
+        part.sum(axis=-2, out=pop[s:s + chunk])
+    return pop
 
 
 @dataclass(frozen=True)

@@ -140,7 +140,7 @@ class TestStrangStep:
         for m in range(p.shape[1]):
             h_c = control_hamiltonian(ops, p, q, m)
             assert np.max(np.abs(steps[m] - _eigh_exponential(h_c, dt))) <= 1e-13
-            for k, (evals, phases, kmat) in enumerate(qudits):
+            for k, (evals, phases, kmat) in enumerate(zip(*qudits)):
                 h_k = p[k, m] * a_one + q[k, m] * b_one
                 assert np.max(np.abs(kmat[m] - _eigh_exponential(h_k, dt))) <= 1e-13
                 evecs = phases[m][:, None] * split.ladder_vecs  # W = R V
@@ -249,17 +249,27 @@ class TestFactorKernels:
         # state stored and with the states between every 4th rebuilt; every
         # product the sweeps issue through np.matmul, the chunked GEMMs among
         # them, has m * n * k below 65,536, from which OpenBLAS 0.3.31 runs a
-        # zgemm on two threads.
+        # zgemm on two threads.  Among them are the GEMMs that write into the
+        # step buffers and, on two qudits, the step build's broadcast
+        # products (L x L) @ (L x n).
         n_steps = _block_length(num_qudits, d) + 37
         _, split, embed, mask, p, q, dt, _ = _factor_system(num_qudits, d, n_steps, d)
-        sizes = []
-        matmul = np.matmul
+        sizes, seen = [], set()
+        matmul, gemm = np.matmul, dynamics._gemm
 
         def recording_matmul(a, b, **kwargs):
             sizes.append((a.shape[-2] if a.ndim > 1 else 1) * a.shape[-1] * b.shape[-1])
+            if a.ndim == 4 and a.shape[1] == 1:
+                seen.add("broadcast")
             return matmul(a, b, **kwargs)
 
+        def recording_gemm(rows, const, out=None):
+            if out is not None:
+                seen.add("gemm into a buffer")
+            return gemm(rows, const, out=out)
+
         monkeypatch.setattr(np, "matmul", recording_matmul)
+        monkeypatch.setattr(dynamics, "_gemm", recording_gemm)
         for stride in (1, 4):
             store = np.append(np.arange(0, n_steps, stride), n_steps)
             states, last = propagate_sequence(split, p, q, dt, embed, store)
@@ -267,6 +277,8 @@ class TestFactorKernels:
                              mask, last)
         monkeypatch.undo()
         assert sizes and max(sizes) < 65_536
+        assert seen == ({"gemm into a buffer", "broadcast"} if num_qudits == 2
+                        else {"gemm into a buffer"})
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_block_length_moves_only_rounding(self, d, monkeypatch):
@@ -372,6 +384,17 @@ class TestTrajectory:
         traj = propagate(sys, _random_pulse(sys, 25.0, 1.0, 6))
         g = guard_populations(traj)
         assert np.all(g >= 0.0) and np.all(g <= 1.0)
+
+    def test_guard_population_taken_in_chunks(self):
+        # A 2q d=3 trajectory holds more stored states than one chunk; the
+        # chunked sums equal the one-shot formula bit for bit.
+        sys = transmon_system(num_qudits=2, d=3, guard=2)
+        traj = propagate(sys, _random_pulse(sys, 40.0, 0.5, 9))
+        mask = system_operators(sys)[2]
+        assert len(traj.states) > 8192 // traj.states[0].size
+        pop = np.abs(traj.states[:, mask])
+        pop *= pop
+        assert np.array_equal(traj.guard_pop, pop.sum(axis=-2))
 
     def test_decimation_includes_endpoints(self):
         idx = _stored(4321)

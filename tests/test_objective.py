@@ -1,5 +1,7 @@
 import dataclasses
+import threading
 import tracemalloc
+from sys import getswitchinterval, setswitchinterval
 
 import numpy as np
 import pytest
@@ -298,6 +300,57 @@ class TestGradient:
         after = arrays(cache)
         assert len(after) == len(before)
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
+    @pytest.mark.parametrize("num_qudits, d, gate_name", [
+        (1, 2, "X_d"), (2, 2, "CNOT"), (2, 3, "SWAP_d")])
+    def test_backward_ignores_later_sweeps(self, num_qudits, d, gate_name):
+        # The sweeps build their steps in buffers that the next block and the
+        # next sweep on this thread reuse; the forward's last block, which
+        # the reverse sweep reads, is the cache's own copy, so a forward and
+        # backward of another pulse in between leave the gradient unchanged.
+        sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
+        T = 2 * block_length(sys.dim_total) / 20 + 1.0
+        target, cfg = gate(gate_name, d), ObjectiveConfig(w_guard=0.3)
+        first, other = (forward(sys, _random_pulse(sys, T, 0.5, seed), target, cfg,
+                                steps_per_ns=20) for seed in (31, 32))
+        expected = backward(first)
+        backward(other)
+        assert backward(first).tobytes() == expected.tobytes()
+
+    def test_threads_keep_their_own_step_buffers(self):
+        # Three threads, more than the cores of a 2-core machine, sweep
+        # different two-qudit pulses at the same time, and each gets the
+        # serial result bit for bit.  The interpreter switches threads as
+        # often as it can, so that a buffer shared between the threads would
+        # be overwritten mid-sweep.
+        sys = transmon_system(num_qudits=2, d=2, guard=2)
+        T = 2 * block_length(sys.dim_total) / 20 + 1.0
+        target, cfg = gate("CNOT", 2), ObjectiveConfig(w_guard=0.3)
+        pulses = [_random_pulse(sys, T, 0.5, seed) for seed in (33, 34, 35)]
+
+        def evaluate(params):
+            cache = forward(sys, params, target, cfg, steps_per_ns=20)
+            return cache.total, backward(cache).tobytes()
+
+        serial = [evaluate(params) for params in pulses]
+        results = [[] for _ in pulses]
+
+        def run(i):
+            results[i].extend(evaluate(pulses[i]) for _ in range(8))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(pulses))]
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(len(runs) == 8 for runs in results)
+        assert all(run == serial[i] for i, runs in enumerate(results) for run in runs)
 
     def test_pinned_coordinates_zero(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
