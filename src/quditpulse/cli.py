@@ -241,13 +241,13 @@ def cmd_ipr(args) -> int:
 
 
 def _parse_d_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
+    try:
+        lo, hi = text.split("..", 1) if ".." in text else (text, text)
         values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(text)]
+    except ValueError:
+        values = []
     if not values or any(v < 2 for v in values):
-        raise CliError(f"invalid d range {text!r}")
+        raise CliError(f"invalid --d-range {text!r}: expected D or LO..HI with 2 <= LO <= HI")
     return values
 
 

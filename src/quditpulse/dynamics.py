@@ -93,7 +93,7 @@ GEMM_THREAD_BOUND = 65_536
 # block built its steps in fresh arrays, before the step buffers.
 BLOCK = 128
 
-# Each thread's step-build buffers (``_step_buffers``).
+# Each thread's step-build buffers (``step_unitaries``).
 _buffers = threading.local()
 
 
@@ -114,12 +114,16 @@ def resolutions(sys: QuditSystem, error_threshold: float) -> tuple[int, int]:
     carrier alone: a 1q d=2 pulse (w = 0) at the amplitude bound reads
     1.4e-3 / n**2, a 1q d=8 pulse (w = 6.2) 2.9e-3 / n**2.  Below 4 steps/ns
     the bound fails: a 400 ns CNOT reads 1.4e-3 at 2 and a 1q d=8 pulse
-    1.0e-3 at 3.
+    1.0e-3 at 3.  A bound or step count that overflows raises ValueError.
     """
     fastest = max(abs(f) for ctrl in carrier_frequencies(sys)[1] for f in ctrl)
-    bound = ERROR_BASE + ERROR_PER_CARRIER * fastest**2
-    return tuple(max(MIN_STEPS_PER_NS, math.ceil(math.sqrt(bound / (share * error_threshold))))
-                 for share in (SEARCH_SHARE, CLAIM_SHARE))
+    try:
+        bound = ERROR_BASE + ERROR_PER_CARRIER * fastest**2
+        return tuple(max(MIN_STEPS_PER_NS, math.ceil(math.sqrt(bound / (share * error_threshold))))
+                     for share in (SEARCH_SHARE, CLAIM_SHARE))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"no step count meets error threshold {error_threshold:g} with carriers "
+                         f"up to {fastest:g} rad/ns") from exc
 
 
 def default_steps_per_ns(sys: QuditSystem) -> int:
@@ -250,37 +254,27 @@ def _qudit_exponential(split: Splitting, p: np.ndarray, q: np.ndarray,
     return vals, phases, kmat
 
 
-def _step_buffers(n: int, length: int) -> np.ndarray:
-    """This thread's ``step_unitaries`` buffers for blocks of up to ``length``
-    n x n steps: the K_2 product rows (unused on one qudit) and the steps.
-    Only the most recent shape is kept, and it outlives the sweeps: glibc
-    hands arrays of a block's size back to the kernel when they are freed,
-    and fresh ones cost about 90 minor page faults per 2q d=2 build."""
-    arrays = getattr(_buffers, "arrays", None)
-    if arrays is None or arrays.shape != (2, length, n, n):
-        arrays = _buffers.arrays = np.empty((2, length, n, n), dtype=complex)
-    return arrays
-
-
-def step_unitaries(
-    split: Splitting,
-    p: np.ndarray,
-    q: np.ndarray,
-    dt: float,
-    sl: slice,
-    out: np.ndarray | None = None,
-) -> tuple[tuple, np.ndarray]:
+def step_unitaries(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
+                   sl: slice) -> tuple[tuple, np.ndarray]:
     """Per-qudit control eigenpairs and merged steps for one chunk of midpoints.
 
     Returns (qudits, steps): the (eigvals, phases, exponentials) of the
     qudits' control terms, each with leading axes (qudit, step), and
-    M = K E^2 at each midpoint, built in ``out`` from ``_step_buffers`` if
-    given: the steps are then a view of it, valid until its next use.
+    M = K E^2 at each midpoint.  The steps are a view of this thread's step
+    buffers, valid until this thread's next call.  The buffers hold the K_2
+    product rows (unused on one qudit) and the steps of at least a block; only
+    the most recent shape is kept, and it outlives the sweeps: glibc hands
+    arrays of a block's size back to the kernel when they are freed, and
+    fresh ones cost about 90 minor page faults per 2q d=2 build.
     """
     qudits = _qudit_exponential(split, p[:, sl], q[:, sl], dt)
     kmats = qudits[2]
     size, levels, n = kmats.shape[1], kmats.shape[2], len(split.drift_vals)
-    rows, steps = np.empty((2, size, n, n), dtype=complex) if out is None else out[:, :size]
+    shape = (2, max(size, block_length(n)), n, n)
+    arrays = getattr(_buffers, "arrays", None)
+    if arrays is None or arrays.shape != shape:
+        arrays = _buffers.arrays = np.empty(shape, dtype=complex)
+    rows, steps = arrays[:, :size]
     drift = _drift_exponential(split, dt)
     if split.num_qudits == 1:
         return qudits, _gemm(kmats[0], drift, out=steps)
@@ -355,14 +349,13 @@ def propagate_sequence(
     length = block_length(n)
     chis = np.empty((min(length, n_steps),) + chi.shape, dtype=complex)
     group = _group_size(n)
-    buffers = _step_buffers(n, length)
     last = None
     slot = 0
     if wanted[0] == 0:
         states[0] = initial
         slot = 1
     for start, stop in _block_edges(n_steps, length):
-        qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop), out=buffers)
+        qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
         block = chis[: stop - start]
         # A block that stores no state before its last step needs only the
         # product of its steps, which leaves them as they are.
@@ -426,7 +419,6 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
     half = _drift_exponential(split, 0.5 * dt)
     drift = _drift_exponential(split, dt)
     group = _group_size(len(half), reverse=True)
-    buffers = _step_buffers(len(half), block_length(len(half)))
     length = min(block_length(len(half)), n_steps)
     # Rows :h hold mu_m = lambda_m^H E, so lambda_m = S_m^H lambda_{m+1} plus
     # the guard term of step m is mu_m = mu_{m+1} M_m + coef[m] psi_m^H mask E.
@@ -459,7 +451,7 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
         if stop == n_steps:
             qudits, steps = last
         else:
-            qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop), out=buffers)
+            qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
         # The guard terms, built only at the steps that have one.
         hot = np.flatnonzero(coef[start:stop])
         guard = states[np.searchsorted(store, start + hot)].conj().swapaxes(1, 2) * mask

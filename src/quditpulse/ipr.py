@@ -388,7 +388,8 @@ def multi_run(
     base_cfg: IPRConfig,
     n_runs: int,
     t_ref: float | None = None,
-    optimizer: Optimizer | None = None,
+    *,
+    optimizer: Optimizer,
 ) -> MultiRunResult:
     """Repeat ipr_run with start times sampled around a reference duration.
 
@@ -403,8 +404,6 @@ def multi_run(
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     workers = _worker_count(n_runs)
-    if optimizer is None:
-        optimizer = StandardOptimizer()
 
     pilot = None
     if t_ref is None:

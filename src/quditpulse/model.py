@@ -8,6 +8,7 @@ propagation step is exp(-1j * H * dt) with no extra factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -111,6 +112,10 @@ def transmon_system(
         omega_rot = TWO_PI * omega_rot_ghz
     else:
         omega_rot = carrier_midpoint(omega, xi, d)
+    for key, values in (("omega_ghz", omega), ("xi_ghz", xi), ("coupling_ghz", [coupling]),
+                        ("omega_rot_ghz", [omega_rot])):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{key} gives a frequency in rad/ns that is not finite")
     return QuditSystem(num_qudits, d, guard, omega, xi, coupling, omega_rot)
 
 

@@ -276,15 +276,13 @@ def refit(params: PulseParams, T_new: float) -> PulseParams:
     return replace(params, T=T_new, N_b=n_b_new, alpha=alpha.reshape(-1))
 
 
-def pulse_doc(sys: QuditSystem, params: PulseParams, fidelity: float,
-              metadata: dict | None = None, steps_per_ns: int | None = None) -> dict:
+def pulse_doc(sys: QuditSystem, params: PulseParams, fidelity: float, metadata: dict,
+              steps_per_ns: int) -> dict:
     """JSON-serializable pulse document (floats round-trip exactly).
 
-    ``metadata`` gains the tool version, the integrator name and, if given,
-    the claim resolution ``steps_per_ns``, because stored fidelities depend
-    on both.
+    ``metadata`` gains the tool version, the integrator name and the claim
+    resolution ``steps_per_ns``, because stored fidelities depend on all three.
     """
-    resolution = {} if steps_per_ns is None else {"steps_per_ns": steps_per_ns}
     return {
         "system": {
             "num_qudits": sys.num_qudits,
@@ -301,8 +299,8 @@ def pulse_doc(sys: QuditSystem, params: PulseParams, fidelity: float,
         "alpha": params.alpha.tolist(),
         "alpha_max": params.alpha_max,
         "fidelity": fidelity,
-        "metadata": dict(metadata or {}, tool_version=__version__, integrator=INTEGRATOR,
-                         **resolution),
+        "metadata": dict(metadata, tool_version=__version__, integrator=INTEGRATOR,
+                         steps_per_ns=steps_per_ns),
     }
 
 
@@ -355,8 +353,8 @@ def write_json(path, doc) -> None:
         fh.write(text + "\n")
 
 
-def save_pulse(path, sys: QuditSystem, params: PulseParams, fidelity: float,
-               metadata: dict | None = None, steps_per_ns: int | None = None) -> None:
+def save_pulse(path, sys: QuditSystem, params: PulseParams, fidelity: float, metadata: dict,
+               steps_per_ns: int) -> None:
     """Write a pulse and its system to JSON."""
     write_json(path, pulse_doc(sys, params, fidelity, metadata, steps_per_ns))
 

@@ -1,11 +1,26 @@
 """Per-step reference formulas that the sweep tests check ``reverse_sequence``
-and ``backward`` against."""
+and ``backward`` against, and the pulses and pulse files the tests share."""
 
 import numpy as np
 
 from quditpulse import dynamics
-from quditpulse.dynamics import step_unitaries, system_operators
+from quditpulse.dynamics import default_steps_per_ns, step_unitaries, system_operators
 from quditpulse.model import control_operators
+from quditpulse.pulse import default_params, random_guess, save_pulse
+
+
+def random_pulse(sys, T, scale, seed):
+    """The standard pulse of ``sys`` over T ns with ``random_guess(scale, seed)``
+    coefficients."""
+    params = default_params(sys, T)
+    return params.with_alpha(random_guess(params, scale, seed))
+
+
+def write_pulse(path, sys, params=None, fidelity=1.0, metadata=None):
+    """Write a pulse file at the claim resolution of the error rule, as the
+    CLI writers do; by default the 10 ns zero pulse."""
+    params = default_params(sys, 10.0) if params is None else params
+    save_pulse(path, sys, params, fidelity, metadata or {}, default_steps_per_ns(sys))
 
 
 def control_hamiltonian(ops, p, q, m):

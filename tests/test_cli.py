@@ -16,10 +16,9 @@ from quditpulse.pulse import (
     default_params,
     eval_controls,
     load_pulse,
-    random_guess,
-    save_pulse,
     write_json,
 )
+from reference import random_pulse, write_pulse
 
 
 def _write_config(path, **overrides):
@@ -357,7 +356,7 @@ class TestSimulateCommand:
     def test_zero_pulse_constant_populations(self, tmp_path):
         sys = transmon_system(num_qudits=1, d=2, guard=0, omega_rot_ghz=4.914)
         pulse_path = tmp_path / "pulse.json"
-        save_pulse(pulse_path, sys, default_params(sys, 12.0), 1.0, {})
+        write_pulse(pulse_path, sys, default_params(sys, 12.0))
         out = tmp_path / "traj.csv"
         assert main(["simulate", "--pulse", str(pulse_path), "--out", str(out)]) == 0
         with open(out) as fh:
@@ -391,7 +390,7 @@ class TestSimulateCommand:
     def test_pulse_file_without_integrator_tag(self, tmp_path):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         pulse_path = tmp_path / "pulse.json"
-        save_pulse(pulse_path, sys, default_params(sys, 10.0), 0.5, {"gate": "X_d"}, 13)
+        write_pulse(pulse_path, sys, fidelity=0.5, metadata={"gate": "X_d"})
         doc = json.loads(pulse_path.read_text())
         del doc["metadata"]["integrator"], doc["metadata"]["steps_per_ns"]
         pulse_path.write_text(json.dumps(doc))
@@ -417,10 +416,8 @@ class TestSimulateCommand:
 
     def test_byte_identical_reruns(self, tmp_path):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = default_params(sys, 17.0)
-        params = params.with_alpha(random_guess(params, 0.4, 3))
         pulse_path = tmp_path / "pulse.json"
-        save_pulse(pulse_path, sys, params, 0.5, {})
+        write_pulse(pulse_path, sys, random_pulse(sys, 17.0, 0.4, 3), 0.5)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["simulate", "--pulse", str(pulse_path), "--out", str(out1)]) == 0
         assert main(["simulate", "--pulse", str(pulse_path), "--out", str(out2)]) == 0
@@ -431,7 +428,7 @@ class TestExportLabCommand:
     def test_zero_pulse(self, tmp_path):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         pulse_path = tmp_path / "pulse.json"
-        save_pulse(pulse_path, sys, default_params(sys, 10.0), 1.0, {})
+        write_pulse(pulse_path, sys)
         out = tmp_path / "lab.csv"
         assert main(["export-lab", "--pulse", str(pulse_path), "--out", str(out)]) == 0
         with open(out) as fh:
@@ -440,10 +437,9 @@ class TestExportLabCommand:
 
     def test_amplitude_bound_and_demodulation(self, tmp_path):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
-        params = default_params(sys, 25.0)
-        params = params.with_alpha(random_guess(params, 1.0, 8))
+        params = random_pulse(sys, 25.0, 1.0, 8)
         pulse_path = tmp_path / "pulse.json"
-        save_pulse(pulse_path, sys, params, 0.5, {})
+        write_pulse(pulse_path, sys, params, 0.5)
         out = tmp_path / "lab.csv"
         assert main([
             "export-lab", "--pulse", str(pulse_path), "--sample-rate", "32",
@@ -462,7 +458,7 @@ class TestExportLabCommand:
     def test_bad_sample_rate(self, tmp_path):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         pulse_path = tmp_path / "pulse.json"
-        save_pulse(pulse_path, sys, default_params(sys, 10.0), 1.0, {})
+        write_pulse(pulse_path, sys)
         code = main([
             "export-lab", "--pulse", str(pulse_path), "--sample-rate", "0",
             "--out", str(tmp_path / "lab.csv"),
@@ -556,6 +552,50 @@ class TestBadInput:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("gate_name, system", [
+        ("X_d", {"omega_rot_ghz": 1e308}),
+        ("CNOT", {"omega_rot_ghz": 1e308}),
+        ("X_d", {"omega_ghz": [1e308]}),
+        ("X_d", {"xi_ghz": [1e308]}),
+        ("CNOT", {"coupling_ghz": 1e308}),
+    ], ids=["X_d-omega_rot_ghz", "CNOT-omega_rot_ghz", "X_d-omega_ghz", "X_d-xi_ghz",
+            "CNOT-coupling_ghz"])
+    def test_frequency_that_overflows_is_named(self, tmp_path, capsys, gate_name, system):
+        # Finite in GHz, but not in rad/ns.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"system": system}))
+        out = tmp_path / "p.json"
+        code = main(["optimize", "--config", str(path), "--gate", gate_name, "--T", "10",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        (key,) = system
+        assert code == 1 and err.startswith("error:") and key in err.splitlines()[0]
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_pulse_carrier_whose_error_bound_overflows(self, tmp_path, capsys):
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        pulse_path = tmp_path / "pulse.json"
+        write_pulse(pulse_path, sys)
+        doc = json.loads(pulse_path.read_text())
+        doc["system"]["omega_rot"] = 1e300  # rad/ns: the rule's carrier**2 overflows
+        del doc["metadata"]["steps_per_ns"]  # so the rule picks the resolution
+        pulse_path.write_text(json.dumps(doc))
+        out = tmp_path / "traj.csv"
+        assert main(["simulate", "--pulse", str(pulse_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("d_range", ["2..a", "2..", "..3", "a"])
+    def test_unparsable_d_range_is_named(self, tmp_path, capsys, d_range):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--gate", "X_d", "--d-range", d_range, "--runs", "1",
+                     "--mock-threshold", "20", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "--d-range" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["optimize", "--gate", "X_d", "--T", "inf"],
         ["optimize", "--gate", "X_d", "--T", "nan"],
@@ -568,7 +608,7 @@ class TestBadInput:
     def test_duration_not_finite_and_positive(self, tmp_path, capsys, argv):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         pulse_path = tmp_path / "pulse.json"
-        save_pulse(pulse_path, sys, default_params(sys, 10.0), 1.0, {})
+        write_pulse(pulse_path, sys)
         argv = [str(pulse_path) if a == "PULSE" else a for a in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 1 and _error_line(capsys)
@@ -589,7 +629,7 @@ class TestBadInput:
     def test_bad_argument_is_named(self, tmp_path, capsys, argv, named):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         pulse_path = tmp_path / "pulse.json"
-        save_pulse(pulse_path, sys, default_params(sys, 10.0), 1.0, {})
+        write_pulse(pulse_path, sys)
         argv = [str(pulse_path) if a == "PULSE" else a for a in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 1
@@ -604,7 +644,7 @@ class TestBadInput:
     def test_malformed_pulse_document(self, tmp_path, capsys, command, mangle):
         sys = transmon_system(num_qudits=2 if mangle == "missing_control" else 1, d=2, guard=2)
         pulse_path = tmp_path / "pulse.json"
-        save_pulse(pulse_path, sys, default_params(sys, 10.0), 1.0, {})
+        write_pulse(pulse_path, sys)
         doc = json.loads(pulse_path.read_text())
         if mangle == "root_not_object":
             doc = [1, 2]

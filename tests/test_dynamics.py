@@ -30,13 +30,8 @@ from quditpulse.model import (
     transmon_system,
 )
 from quditpulse.objective import trace_infidelity
-from quditpulse.pulse import default_params, eval_controls, random_guess
-from reference import control_hamiltonian, per_step_sensitivities
-
-
-def _random_pulse(sys, T, scale, seed):
-    params = default_params(sys, T)
-    return params.with_alpha(random_guess(params, scale, seed))
+from quditpulse.pulse import default_params, eval_controls
+from reference import control_hamiltonian, per_step_sensitivities, random_pulse
 
 
 def _stored(n_steps):
@@ -61,13 +56,13 @@ class TestPropagate:
 
     def test_column_norms(self):
         sys = transmon_system(num_qudits=2, d=3, guard=2)
-        traj = propagate(sys, _random_pulse(sys, 8.0, 0.8, 4))
+        traj = propagate(sys, random_pulse(sys, 8.0, 0.8, 4))
         norms = np.linalg.norm(traj.states, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
 
     def test_time_reversal(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
-        params = _random_pulse(sys, 12.0, 0.7, 8)
+        params = random_pulse(sys, 12.0, 0.7, 8)
         split, embed, _ = system_operators(sys)
         grid = step_grid(params.T, 20, params.N_b, params.carriers, sys.dim_essential)
         n_steps, dt = grid.stored[-1], grid.dt
@@ -155,7 +150,7 @@ class TestStrangStep:
         target = embed_target(gate("X_d" if num_qudits == 1 else "SWAP_d", d), sys)
         T = 8.0 if num_qudits == 1 else 3.0
         for seed in range(3):
-            params = _random_pulse(sys, T, 0.3, seed)
+            params = random_pulse(sys, T, 0.3, seed)
             infid = [
                 trace_infidelity(
                     propagate(sys, params, n, store_trajectory=False).states[-1], target
@@ -360,7 +355,7 @@ class TestSweep:
         steps_per_ns = default_steps_per_ns(sys)
         group = _group_size(sys.dim_total)
         for n_steps in (max(1, group - 1), group + 1, block_length(sys.dim_total) + group + 1):
-            params = _random_pulse(sys, n_steps / steps_per_ns, 0.5, n_steps)
+            params = random_pulse(sys, n_steps / steps_per_ns, 0.5, n_steps)
             traj = propagate(sys, params, steps_per_ns, store_trajectory=False)
             assert traj.p.shape[1] == n_steps
             dense, _ = propagate_sequence(split, traj.p, traj.q, traj.grid.dt, embed,
@@ -371,17 +366,17 @@ class TestSweep:
 class TestTrajectory:
     def test_guard_population_zero_without_guards(self):
         sys = transmon_system(num_qudits=1, d=3, guard=0)
-        traj = propagate(sys, _random_pulse(sys, 10.0, 0.5, 2))
+        traj = propagate(sys, random_pulse(sys, 10.0, 0.5, 2))
         assert np.all(guard_populations(traj) == 0.0)
 
     def test_initial_guard_population_zero(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        traj = propagate(sys, _random_pulse(sys, 10.0, 0.5, 3))
+        traj = propagate(sys, random_pulse(sys, 10.0, 0.5, 3))
         assert guard_populations(traj)[0] == 0.0
 
     def test_guard_population_range(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        traj = propagate(sys, _random_pulse(sys, 25.0, 1.0, 6))
+        traj = propagate(sys, random_pulse(sys, 25.0, 1.0, 6))
         g = guard_populations(traj)
         assert np.all(g >= 0.0) and np.all(g <= 1.0)
 
@@ -389,7 +384,7 @@ class TestTrajectory:
         # A 2q d=3 trajectory holds more stored states than one chunk; the
         # chunked sums equal the one-shot formula bit for bit.
         sys = transmon_system(num_qudits=2, d=3, guard=2)
-        traj = propagate(sys, _random_pulse(sys, 40.0, 0.5, 9))
+        traj = propagate(sys, random_pulse(sys, 40.0, 0.5, 9))
         mask = system_operators(sys)[2]
         assert len(traj.states) > 8192 // traj.states[0].size
         pop = np.abs(traj.states[:, mask])

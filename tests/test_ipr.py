@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -258,7 +259,8 @@ class TestMultiRun:
     def test_requires_runs(self, h4_setup):
         sys, target = h4_setup
         with pytest.raises(ValueError):
-            multi_run(sys, target, IPRConfig(T_start=10.0), 0)
+            multi_run(sys, target, IPRConfig(T_start=10.0), 0,
+                      optimizer=threshold_mock_optimizer(10.0))
 
 
 SRC = Path(ipr_mod.__file__).resolve().parents[1]
@@ -373,6 +375,31 @@ class TestWorkerPool:
         assert [r.T_best for r in serial.results] == [r.T_best for r in pooled.results]
         assert [c.seed for c in serial.configs] == [c.seed for c in pooled.configs]
         assert multiprocessing.active_children() == []
+
+    @needs_fork
+    @needs_proc
+    def test_searches_run_here_without_fork(self, h4_setup, monkeypatch):
+        # The only path on spawn-only platforms: with more than one worker
+        # asked for and no os.fork, the searches run serially in this process.
+        sys, target = h4_setup
+        base = IPRConfig(T_start=90.0, seed=22)
+        optimizer = _pid_mock(77.0)
+        monkeypatch.setenv("QUDITPULSE_THREADS", "2")
+        pooled = multi_run(sys, target, base, 4, optimizer=optimizer)
+        monkeypatch.delattr(os, "fork")
+        here = multi_run(sys, target, base, 4, optimizer=optimizer)
+
+        def reasons(mr):
+            return {r.reason for res in mr.results for r in res.records}
+
+        def without_pids(mr):
+            return re.sub(r'"pid \d+"', '"pid"', _plain(mr))
+
+        assert reasons(here) == {f"pid {os.getpid()}"}
+        assert f"pid {os.getpid()}" not in reasons(pooled)
+        assert without_pids(here) == without_pids(pooled)
+        assert multiprocessing.active_children() == []
+        assert _running_children() == []
 
     @needs_fork
     def test_search_error_propagates_and_joins_workers(self, h4_setup, monkeypatch):

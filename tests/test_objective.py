@@ -29,16 +29,11 @@ from quditpulse.objective import (
     trace_infidelity,
     value_and_gradient,
 )
-from quditpulse.pulse import basis_matrix, default_params, random_guess
-from reference import per_step_sensitivities
+from quditpulse.pulse import basis_matrix, default_params
+from reference import per_step_sensitivities, random_pulse
 
 # Steps per block of both sweeps at 2q d=3.
 TWO_QUDIT_BLOCK = block_length(transmon_system(num_qudits=2, d=3, guard=2).dim_total)
-
-
-def _random_pulse(sys, T, scale, seed):
-    params = default_params(sys, T)
-    return params.with_alpha(random_guess(params, scale, seed))
 
 
 def _full_trajectory(cache):
@@ -98,7 +93,7 @@ class TestTraceInfidelity:
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         v_emb = embed_target(gate("X_d", 2), sys)
         for seed in range(5):
-            traj = propagate(sys, _random_pulse(sys, 15.0, 1.0, seed))
+            traj = propagate(sys, random_pulse(sys, 15.0, 1.0, seed))
             j = trace_infidelity(traj.states[-1], v_emb)
             assert 0.0 <= j <= 1.0
 
@@ -123,7 +118,7 @@ class TestTraceInfidelity:
 class TestGuardPenalty:
     def test_no_guards(self):
         sys = transmon_system(num_qudits=1, d=3, guard=0)
-        params = _random_pulse(sys, 12.0, 0.6, 1)
+        params = random_pulse(sys, 12.0, 0.6, 1)
         assert forward(sys, params, gate("X_d", 3), ObjectiveConfig()).guard == 0.0
 
     def test_constant_population_average(self, monkeypatch):
@@ -133,12 +128,12 @@ class TestGuardPenalty:
 
         monkeypatch.setattr(dynamics, "guard_population_columns", constant)
         sys = transmon_system(num_qudits=1, d=3, guard=2)
-        params = _random_pulse(sys, 10.0, 0.5, 4)
+        params = random_pulse(sys, 10.0, 0.5, 4)
         assert forward(sys, params, gate("X_d", 3), ObjectiveConfig()).guard == pytest.approx(0.25)
 
     def test_decimated_close_to_full(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _random_pulse(sys, 60.0, 1.0, 9)
+        params = random_pulse(sys, 60.0, 1.0, 9)
         # 60 ns * 100 steps/ns = 6000 steps: the guard average decimates ~6x
         cache = forward(sys, params, gate("X_d", 2), ObjectiveConfig(), steps_per_ns=100)
         _, _, mask = system_operators(sys)
@@ -167,7 +162,7 @@ class TestGuardPenalty:
 class TestObjective:
     def test_zero_weights_equals_infidelity(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _random_pulse(sys, 20.0, 0.5, 2)
+        params = random_pulse(sys, 20.0, 0.5, 2)
         target = gate("X_d", 2)
         cfg = ObjectiveConfig(w_guard=0.0, w_l2=0.0)
         total, infid, _ = objective_parts(sys, params, target, cfg)
@@ -181,7 +176,7 @@ class TestObjective:
 
     def test_penalties_only_add(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
-        params = _random_pulse(sys, 25.0, 0.8, 3)
+        params = random_pulse(sys, 25.0, 0.8, 3)
         target = gate("H_d", 3)
         loose = ObjectiveConfig(w_guard=0.0, w_l2=0.0)
         tight = ObjectiveConfig(w_guard=0.3, w_l2=1e-3)
@@ -201,7 +196,7 @@ class TestGradient:
         # The contract step is small enough that FD noise dominates tighter
         # comparisons here; the adjoint itself is exact (see single-qudit cases).
         sys = transmon_system(num_qudits=2, d=2, guard=2)
-        params = _random_pulse(sys, 12.0, 0.3, 24)
+        params = random_pulse(sys, 12.0, 0.3, 24)
         target = gate("SWAP2", 2)
         cfg = ObjectiveConfig()
         adj = gradient(sys, params, target, cfg, method="adjoint")
@@ -219,7 +214,7 @@ class TestGradient:
     def test_directional_derivative_matches_central_difference(self, num_qudits, d, T,
                                                                 gate_name):
         sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
-        params = _random_pulse(sys, T, 0.3, 30 + d)
+        params = random_pulse(sys, T, 0.3, 30 + d)
         target = gate(gate_name, d)
         cfg = ObjectiveConfig(w_guard=0.3)
         cache = forward(sys, params, target, cfg)
@@ -250,7 +245,7 @@ class TestGradient:
         # more steps than MAX_STORED_STEPS the guard terms sit on a decimated
         # grid and the adjoint state crosses block edges between guard samples.
         sys = transmon_system(num_qudits=1, d=d, guard=2)
-        params = _random_pulse(sys, n_steps / 20, 0.8, 27)
+        params = random_pulse(sys, n_steps / 20, 0.8, 27)
         target = gate("H_d", d)
         cfg = ObjectiveConfig(w_guard=0.3, w_l2=1e-4)
         cache = forward(sys, params, target, cfg, steps_per_ns=20)
@@ -268,7 +263,7 @@ class TestGradient:
         # The reverse sweep applies one qudit's kernel at a time; the
         # reference uses the kernel of the full two-qudit eigenbasis.
         sys = transmon_system(num_qudits=2, d=3, guard=2)
-        params = _random_pulse(sys, n_steps / 40, 0.8, 28)
+        params = random_pulse(sys, n_steps / 40, 0.8, 28)
         cfg = ObjectiveConfig(w_guard=0.3, w_l2=1e-4)
         cache = forward(sys, params, gate("SWAP_d", 3), cfg, steps_per_ns=40)
         assert cache.traj.p.shape[1] == n_steps
@@ -281,7 +276,7 @@ class TestGradient:
         # The reverse sweep reads the forward's last block of steps; two
         # gradients from one cache agree bit for bit and leave it unchanged.
         sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
-        params = _random_pulse(sys, 2 * block_length(sys.dim_total) / 20 + 1.0, 0.5, 29)
+        params = random_pulse(sys, 2 * block_length(sys.dim_total) / 20 + 1.0, 0.5, 29)
         cache = forward(sys, params, gate(gate_name, d), ObjectiveConfig(w_guard=0.3),
                         steps_per_ns=20)
 
@@ -311,7 +306,7 @@ class TestGradient:
         sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
         T = 2 * block_length(sys.dim_total) / 20 + 1.0
         target, cfg = gate(gate_name, d), ObjectiveConfig(w_guard=0.3)
-        first, other = (forward(sys, _random_pulse(sys, T, 0.5, seed), target, cfg,
+        first, other = (forward(sys, random_pulse(sys, T, 0.5, seed), target, cfg,
                                 steps_per_ns=20) for seed in (31, 32))
         expected = backward(first)
         backward(other)
@@ -326,7 +321,7 @@ class TestGradient:
         sys = transmon_system(num_qudits=2, d=2, guard=2)
         T = 2 * block_length(sys.dim_total) / 20 + 1.0
         target, cfg = gate("CNOT", 2), ObjectiveConfig(w_guard=0.3)
-        pulses = [_random_pulse(sys, T, 0.5, seed) for seed in (33, 34, 35)]
+        pulses = [random_pulse(sys, T, 0.5, seed) for seed in (33, 34, 35)]
 
         def evaluate(params):
             cache = forward(sys, params, target, cfg, steps_per_ns=20)
@@ -354,13 +349,13 @@ class TestGradient:
 
     def test_pinned_coordinates_zero(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
-        params = _random_pulse(sys, 25.0, 0.5, 5)
+        params = random_pulse(sys, 25.0, 0.5, 5)
         g = gradient(sys, params, gate("X_d", 3), ObjectiveConfig())
         assert np.all(g[params.boundary_mask()] == 0.0)
 
     def test_l2_term_analytic(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _random_pulse(sys, 20.0, 0.5, 6)
+        params = random_pulse(sys, 20.0, 0.5, 6)
         target = gate("X_d", 2)
         w = 1e-3
         g0 = gradient(sys, params, target, ObjectiveConfig(w_l2=0.0))
@@ -377,7 +372,7 @@ class TestGradient:
 
     def test_value_and_gradient_consistent_with_objective(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
-        params = _random_pulse(sys, 25.0, 0.4, 8)
+        params = random_pulse(sys, 25.0, 0.4, 8)
         target = gate("H_d", 3)
         cfg = ObjectiveConfig(w_guard=0.2, w_l2=1e-4)
         total, infid, guard, _ = value_and_gradient(sys, params, target, cfg)
@@ -400,7 +395,7 @@ class TestMemory:
         # gradient peaked at 28 MB; the guard grid holds 1,001 states (3.6 MB).
         # The first call fills the step grid's caches, the second is measured.
         sys = transmon_system(num_qudits=2, d=3, guard=2)
-        params = _random_pulse(sys, 150.0, 0.3, 16)
+        params = random_pulse(sys, 150.0, 0.3, 16)
         target, cfg = gate("SWAP_d", 3), ObjectiveConfig()
         backward(forward(sys, params, target, cfg, 40))
         tracemalloc.start()

@@ -12,12 +12,8 @@ from quditpulse.optimize import (
     default_max_iter,
     minimize,
 )
-from quditpulse.pulse import default_params, random_guess
-
-
-def _seeded(sys, T, scale, seed):
-    params = default_params(sys, T)
-    return params.with_alpha(random_guess(params, scale, seed))
+from quditpulse.pulse import default_params
+from reference import random_pulse
 
 
 class TestMinimize:
@@ -34,7 +30,7 @@ class TestMinimize:
 
     def test_x2_converges_at_30ns(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _seeded(sys, 30.0, 0.01, 0)
+        params = random_pulse(sys, 30.0, 0.01, 0)
         res = minimize(sys, params, gate("X_d", 2), ObjectiveConfig(), max_iter=300)
         assert res.converged
         assert res.reason == "converged"
@@ -42,7 +38,7 @@ class TestMinimize:
 
     def test_iteration_budget(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _seeded(sys, 30.0, 0.1, 1)
+        params = random_pulse(sys, 30.0, 0.1, 1)
         res = minimize(sys, params, gate("H_d", 2), ObjectiveConfig(), max_iter=1)
         assert res.iterations == 1
         assert res.reason == "max_iter"
@@ -51,14 +47,14 @@ class TestMinimize:
 
     def test_bounds_respected_exactly(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _seeded(sys, 25.0, 0.5, 2)
+        params = random_pulse(sys, 25.0, 0.5, 2)
         res = minimize(sys, params, gate("X_d", 2), ObjectiveConfig(), max_iter=60)
         assert np.all(np.abs(res.alpha_final) <= params.alpha_max)
         assert np.all(res.alpha_final[params.boundary_mask()] == 0.0)
 
     def test_history_monotone_nonincreasing(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
-        params = _seeded(sys, 25.0, 0.1, 3)
+        params = random_pulse(sys, 25.0, 0.1, 3)
         res = minimize(sys, params, gate("H_d", 3), ObjectiveConfig(), max_iter=40)
         start = forward(sys, params, gate("H_d", 3), ObjectiveConfig()).total
         hist = np.asarray([start] + [row[1] for row in res.history])
@@ -66,14 +62,14 @@ class TestMinimize:
 
     def test_best_not_worse_than_initial(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
-        params = _seeded(sys, 20.0, 0.3, 4)
+        params = random_pulse(sys, 20.0, 0.3, 4)
         res = minimize(sys, params, gate("X_d", 3), ObjectiveConfig(), max_iter=25)
         start = forward(sys, params, gate("X_d", 3), ObjectiveConfig()).total
         assert res.history and res.history[-1][1] <= start
 
     def test_deterministic(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _seeded(sys, 25.0, 0.1, 5)
+        params = random_pulse(sys, 25.0, 0.1, 5)
         target = gate("H_d", 2)
         r1 = minimize(sys, params, target, ObjectiveConfig(), max_iter=30)
         r2 = minimize(sys, params, target, ObjectiveConfig(), max_iter=30)
@@ -82,7 +78,7 @@ class TestMinimize:
 
     def test_history_rows(self):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _seeded(sys, 20.0, 0.1, 6)
+        params = random_pulse(sys, 20.0, 0.1, 6)
         rows = minimize(sys, params, gate("X_d", 2), ObjectiveConfig(), max_iter=10).history
         assert rows
         assert all(len(r) == 5 for r in rows)
@@ -96,7 +92,7 @@ class TestMinimize:
 
     def test_non_finite_objective_aborts(self, monkeypatch):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _seeded(sys, 20.0, 0.1, 7)
+        params = random_pulse(sys, 20.0, 0.1, 7)
         real_forward = optimize_mod.forward
 
         def bad_forward(*args, **kwargs):
@@ -108,7 +104,7 @@ class TestMinimize:
 
     def test_non_finite_gradient_aborts(self, monkeypatch):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _seeded(sys, 20.0, 0.1, 7)
+        params = random_pulse(sys, 20.0, 0.1, 7)
         monkeypatch.setattr(
             optimize_mod, "backward", lambda cache: np.full_like(params.alpha, np.nan)
         )
@@ -117,7 +113,7 @@ class TestMinimize:
 
     def test_accepted_candidate_forward_is_reused(self, monkeypatch):
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _seeded(sys, 20.0, 0.1, 8)
+        params = random_pulse(sys, 20.0, 0.1, 8)
         forwards, backwards = [], []
         real_forward, real_backward = optimize_mod.forward, optimize_mod.backward
 
@@ -157,7 +153,7 @@ class TestMinimize:
         # failed search must not run again: each candidate is evaluated once,
         # and the search gives up after MAX_LINE_SEARCH of them.
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _seeded(sys, 20.0, 0.1, 9)
+        params = random_pulse(sys, 20.0, 0.1, 9)
         real_forward = optimize_mod.forward
         start = real_forward(sys, params, gate("X_d", 2), ObjectiveConfig())
         evaluated = []
@@ -187,7 +183,7 @@ class TestMinimize:
         # result matches a run that propagates every trial step, also when
         # every candidate fails and the search runs out of trials.
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _seeded(sys, 40.0, 1.0, 5)
+        params = random_pulse(sys, 40.0, 1.0, 5)
         real_forward = optimize_mod.forward
         start = real_forward(sys, params, gate("H_d", 2), ObjectiveConfig(), 5)
 
@@ -233,7 +229,7 @@ class TestMinimize:
         # below FTOL relative: the run stops after one step instead of
         # spending its budget on roundoff-sized progress.
         sys = transmon_system(num_qudits=1, d=2, guard=2)
-        params = _seeded(sys, 20.0, 0.1, 10)
+        params = random_pulse(sys, 20.0, 0.1, 10)
         real_forward = optimize_mod.forward
         calls = []
 

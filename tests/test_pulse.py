@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from quditpulse.dynamics import default_steps_per_ns
 from quditpulse.model import carrier_midpoint, transmon_system
 from quditpulse.pulse import (
     PulseParams,
@@ -18,8 +19,8 @@ from quditpulse.pulse import (
     random_guess,
     refit,
     sample_grid,
-    save_pulse,
 )
+from reference import write_pulse
 
 TWO_PI = 2 * np.pi
 
@@ -280,7 +281,7 @@ class TestPulseJson:
         params = default_params(sys, 47.0)
         params = params.with_alpha(random_guess(params, 0.9, 31))
         path = tmp_path / "pulse.json"
-        save_pulse(path, sys, params, 0.99912345, {"gate": "SWAP_d"})
+        write_pulse(path, sys, params, 0.99912345, {"gate": "SWAP_d"})
         sys2, params2, fid, meta = load_pulse(path)
         assert sys2 == sys
         assert params2.T == params.T
@@ -297,13 +298,13 @@ class TestPulseJson:
         sys = transmon_system(num_qudits=1, d=2, guard=2)
         path = tmp_path / "pulse.json"
         with pytest.raises(ValueError):
-            save_pulse(path, sys, default_params(sys, 20.0), fidelity)
+            write_pulse(path, sys, default_params(sys, 20.0), fidelity)
         assert not path.exists()
 
     def test_doc_round_trip(self):
         sys = transmon_system(num_qudits=1, d=4, guard=1)
         params = default_params(sys, 33.0)
-        doc = pulse_doc(sys, params, 0.5, None)
+        doc = pulse_doc(sys, params, 0.5, {}, default_steps_per_ns(sys))
         sys2, params2, fid, _ = pulse_from_doc(doc)
         assert sys2 == sys and fid == 0.5
         assert np.array_equal(params2.alpha, params.alpha)
