@@ -28,10 +28,10 @@ sweep ``propagate_sequence`` multiplies, for matrices up to 16 x 16, prefix
 products over groups of steps, built for all groups of a block at once, and
 applies each group's to chi as one GEMM, or, in a block that stores no
 state before its last step, the product of its steps, taken pairwise.  It
-stores only the states it is asked for, and hands its build of the last
-block (per-qudit eigenpairs and exponentials, and the M_m copied out of the
-buffers before the prefix products overwrite them) to the reverse sweep,
-which starts there and so builds one block fewer.  Its exact discrete adjoint
+stores only the states it is asked for.  If it stores one inside the last
+block, it hands its build of that block (per-qudit eigenpairs and
+exponentials, and the M_m copied before the prefix products overwrite them)
+to the reverse sweep, which starts there.  Its exact discrete adjoint
 ``reverse_sequence`` carries mu_m = lambda_m^H E back through the same M_m:
 mu_m = mu_{m+1} M_m + g_m with g_m the guard term.  Every M_m is unitary,
 so where the forward stored only some states, chi_m^H = chi_{m+1}^H M_m
@@ -329,11 +329,11 @@ def propagate_sequence(
 ) -> tuple[np.ndarray, tuple | None]:
     """Apply the Strang steps defined by control samples p, q.
 
-    ``p`` and ``q`` have shape (K, n_steps) and hold the control values at
-    the step midpoints.  Returns (states, last): the states at the strictly
-    increasing step indices in ``store``, which must not be empty, as one
-    array of shape (len(store),) + initial.shape, and the read-only
-    ``step_unitaries`` build of the last block, for ``reverse_sequence``.
+    ``p`` and ``q`` (K, n_steps) hold the control values at the step
+    midpoints.  Returns (states, last): the states at the strictly increasing
+    step indices in ``store`` (not empty) as one array (len(store),) +
+    initial.shape, and the read-only ``step_unitaries`` build of the last
+    block for ``reverse_sequence``, or None if it stores no state before its end.
     """
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise PropagationError("controls produced non-finite values")
@@ -360,7 +360,7 @@ def propagate_sequence(
         # A block that stores no state before its last step needs only the
         # product of its steps, which leaves them as they are.
         chained = slot == len(wanted) or wanted[slot] >= stop
-        if stop == n_steps:
+        if stop == n_steps and not chained:
             # Copied out of the buffers, which later blocks and sweeps reuse,
             # before the prefix products below overwrite the steps.
             last = (qudits, steps.copy())
@@ -404,14 +404,14 @@ def _traced_pair(kets: np.ndarray, bras: np.ndarray, kmat: np.ndarray) -> np.nda
 def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
                      store: np.ndarray, states: np.ndarray, lam: np.ndarray,
                      weights: np.ndarray, mask: np.ndarray,
-                     last: tuple) -> tuple[np.ndarray, np.ndarray]:
+                     last: tuple | None) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of ``propagate_sequence``: (dJ/dp, dJ/dq), each shaped like p.
 
     ``states[i]`` is the state after ``store[i]`` steps, with ``store[-1]`` =
     n_steps; ``lam`` = dJ/d conj(states[-1]), and J adds the running cost
     ``weights[i] * sum(|states[i][mask]|^2)``.  The states ``store`` misses
     are rebuilt backwards.  ``last`` is the forward sweep's build of the last
-    block; it is only read.
+    block, or None to build it here; it is only read.
     """
     n_steps = p.shape[1]
     n_q, levels = split.num_qudits, len(split.ladder_vals)
@@ -448,7 +448,7 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
         """mus[i] = rows_{start+i} for i <= size from mu = rows_stop; returns
         the block's per-qudit control eigenpairs and exponentials."""
         size = stop - start
-        if stop == n_steps:
+        if stop == n_steps and last is not None:
             qudits, steps = last
         else:
             qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
@@ -552,7 +552,7 @@ def guard_population_columns(states: np.ndarray, mask: np.ndarray) -> np.ndarray
 class Trajectory:
     """One forward sweep: states (S, n, h) and guard_pop (S, h) after
     ``steps`` (S,) steps of ``grid``, the controls p, q (K, n_steps) at its
-    step midpoints, and ``last``, the sweep's build of its last block.
+    step midpoints, and ``last`` from ``propagate_sequence``.
 
     ``states[s, :, c]`` is essential basis column c at time ``times[s]``;
     ``guard_pop[s, c]`` is that column's total population on
@@ -565,7 +565,7 @@ class Trajectory:
     grid: StepGrid
     p: np.ndarray
     q: np.ndarray
-    last: tuple
+    last: tuple | None
 
     @property
     def times(self) -> np.ndarray:

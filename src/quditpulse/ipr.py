@@ -132,18 +132,6 @@ def _snap(x: float) -> float:
     return float(math.floor(x + 0.5))
 
 
-def _next_lower(t_best: float, step: float):
-    """Duration/step for the next attempt below t_best, or None to stop.
-
-    Keeps durations at or above 1 ns by halving the step as needed.
-    """
-    while t_best - step < 1.0:
-        step //= 2
-        if not step:
-            return None
-    return t_best - step, step
-
-
 def meets_threshold(fidelity: float, error_threshold: float) -> bool:
     """The one success test: infidelity ``1 - fidelity`` strictly below the threshold."""
     return 1.0 - fidelity < error_threshold
@@ -280,12 +268,11 @@ def ipr_run(
                 best_params = params.with_alpha(result.alpha_final)
             else:
                 step //= 2
-                if not step:
-                    break
-            nxt = _next_lower(best.T, step)
-            if nxt is None:
+            while step and best.T - step < 1.0:
+                step //= 2
+            if not step:
                 break
-            t_current, step = nxt
+            t_current = best.T - step
             params = refit(best_params, t_current)
             seed_kind = "truncated"
         elif prev_fidelity is None or fidelity > prev_fidelity:

@@ -114,8 +114,8 @@ def transmon_system(
         omega_rot = carrier_midpoint(omega, xi, d)
     for key, values in (("omega_ghz", omega), ("xi_ghz", xi), ("coupling_ghz", [coupling]),
                         ("omega_rot_ghz", [omega_rot])):
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"{key} gives a frequency in rad/ns that is not finite")
+        if not all(math.isfinite(f * f) for f in values):
+            raise ValueError(f"{key} gives a frequency in rad/ns whose square is not finite")
     return QuditSystem(num_qudits, d, guard, omega, xi, coupling, omega_rot)
 
 

@@ -145,11 +145,10 @@ def minimize(
     history = []
     # "max_iter" until another rule fires: the reason if the budget runs out.
     reason = "converged" if infid < cfg.error_threshold else "max_iter"
-    iterations = 0
     n_forward = 1
     memory: deque = deque(maxlen=LBFGS_MEMORY)
 
-    while reason == "max_iter" and iterations < max_iter:
+    while reason == "max_iter" and len(history) < max_iter:
         moved = False
         for direction in (_two_loop(grad, memory), -grad):
             step = 1.0
@@ -186,8 +185,7 @@ def minimize(
             memory.append((s, y, 1.0 / sy))
         x, grad, previous = candidate, new_grad, value
         value, infid = cache.total, cache.infidelity
-        iterations += 1
-        history.append((iterations, value, infid, cache.guard, step))
+        history.append((len(history) + 1, value, infid, cache.guard, step))
         if infid < cfg.error_threshold:
             reason = "converged"
         elif previous - value <= FTOL * max(abs(previous), abs(value), 1.0):
@@ -199,8 +197,8 @@ def minimize(
         alpha_final=x,
         fidelity=1.0 - infid,
         history=history,
-        iterations=iterations,
+        iterations=len(history),
         reason=reason,
         n_forward=n_forward,
-        n_gradient=iterations + 1,  # the start point and every accepted step
+        n_gradient=len(history) + 1,  # the start point and every accepted step
     )

@@ -60,6 +60,14 @@ class TestPropagate:
         norms = np.linalg.norm(traj.states, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
 
+    def test_final_state_only_hands_on_no_block(self):
+        # Storing only the final state chains the last block, so there is no
+        # build of it to hand to the reverse sweep.
+        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        params = random_pulse(sys, 20.0, 0.5, 3)
+        assert propagate(sys, params, store_trajectory=False).last is None
+        assert propagate(sys, params).last is not None
+
     def test_time_reversal(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
         params = random_pulse(sys, 12.0, 0.7, 8)
@@ -189,14 +197,13 @@ class TestFactorKernels:
             assert np.max(np.abs(steps[m] - kmat @ drift_sq)) <= 1e-13
 
     @staticmethod
-    def _adjoint_error(num_qudits, d, n_steps, stride):
+    def _adjoint_error(num_qudits, d, n_steps, grid):
         """Max deviation of ``reverse_sequence`` from ``per_step_sensitivities``,
-        relative to max |reference|, with every state stored and with every
-        ``stride``-th.  About 30% of the sparse grid's steps carry no guard
+        relative to max |reference|, with every state stored and with the
+        sparse ``grid``'s.  About 30% of the grid's steps carry no guard
         term."""
         sys, split, embed, mask, p, q, dt, rng = _factor_system(num_qudits, d, n_steps, 7 + d)
         states, _ = propagate_sequence(split, p, q, dt, embed, np.arange(n_steps + 1))
-        grid = np.append(np.arange(0, n_steps, stride), n_steps)
         lam = rng.standard_normal(embed.shape) + 1j * rng.standard_normal(embed.shape)
         coef = np.zeros(n_steps + 1)
         coef[grid] = rng.uniform(0.0, 0.5, len(grid)) * (rng.uniform(size=len(grid)) < 0.7)
@@ -213,12 +220,25 @@ class TestFactorKernels:
         # The step count leaves a short first block and crosses two block
         # edges.
         n_steps = 2 * _block_length(num_qudits, d) + 5
-        assert self._adjoint_error(num_qudits, d, n_steps, 3) <= 1e-13
+        grid = np.append(np.arange(0, n_steps, 3), n_steps)
+        assert self._adjoint_error(num_qudits, d, n_steps, grid) <= 1e-13
+
+    @pytest.mark.parametrize("num_qudits, d", [(1, 2), (2, 3)])
+    def test_adjoint_builds_a_last_block_that_stores_no_state(self, num_qudits, d):
+        # The sparse grid's last state before the end is the last block's
+        # start, so the forward sweep only chains that block and hands no
+        # build of it on; the reverse sweep builds it itself.
+        length = _block_length(num_qudits, d)
+        n_steps = 2 * length + 5
+        grid = np.append(np.arange(0, n_steps - length, 3), [n_steps - length, n_steps])
+        _, split, embed, _, p, q, dt, _ = _factor_system(num_qudits, d, n_steps, 7 + d)
+        assert propagate_sequence(split, p, q, dt, embed, grid)[1] is None
+        assert self._adjoint_error(num_qudits, d, n_steps, grid) <= 1e-13
 
     @pytest.mark.parametrize("num_qudits, d, n_steps", [(1, 5, 4400), (2, 2, 4000)])
     def test_adjoint_matches_per_step_formula_on_long_pulses(self, num_qudits, d, n_steps):
         # The sparse grid is the guard grid of the objective.
-        assert self._adjoint_error(num_qudits, d, n_steps, -(-n_steps // 1000)) <= 1e-13
+        assert self._adjoint_error(num_qudits, d, n_steps, _stored(n_steps)) <= 1e-13
 
     @pytest.mark.parametrize("num_qudits, d, n_steps", [(1, 5, 4400), (2, 2, 4000)])
     def test_rebuilt_states_match_stored_states(self, num_qudits, d, n_steps):

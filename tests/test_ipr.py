@@ -110,29 +110,6 @@ class TestStateMachine:
             else:
                 assert cur.seed_kind == "random"
 
-    def test_never_succeeding_terminates(self, h4_setup, monkeypatch):
-        sys, target = h4_setup
-        monkeypatch.setattr(ipr_mod, "MAX_ATTEMPTS", 25)
-        cfg = IPRConfig(T_start=20.0, step=4.0, seed=6)
-        # fidelity strictly increasing in T but bounded far below the target
-        res = ipr_run(sys, target, cfg, _fidelity_mock(lambda t: 0.5 * t / (t + 1)))
-        assert not res.succeeded
-        assert res.T_best is None
-        assert len(res.records) == 25
-        assert all(not r.success for r in res.records)
-
-    def test_decreasing_fidelity_restarts_until_exhausted(self, h4_setup, monkeypatch):
-        sys, target = h4_setup
-        monkeypatch.setattr(ipr_mod, "MAX_RESTARTS", 3)
-        cfg = IPRConfig(T_start=30.0, step=4.0, seed=8)
-        res = ipr_run(sys, target, cfg, _fidelity_mock(lambda t: 0.9 - 0.001 * t))
-        assert not res.succeeded
-        assert res.restarts_used == 3
-        kinds = [r.seed_kind for r in res.records]
-        assert kinds == ["random", "extended"] * 4
-        # every restart returns to the best-fidelity duration
-        assert [r.T for r in res.records if r.seed_kind == "random"] == [30.0] * 4
-
     def test_restart_guesses_are_successive_draws_of_one_rng(self, h4_setup, monkeypatch):
         sys, target = h4_setup
         monkeypatch.setattr(ipr_mod, "MAX_RESTARTS", 3)
@@ -177,15 +154,21 @@ class TestStateMachine:
         sys, target = h4_setup
         cfg = IPRConfig(T_start=30.0, step=4.0, seed=8)
         res = ipr_run(sys, target, cfg, _fidelity_mock(lambda t: 0.9 - 0.001 * t))
+        assert not res.succeeded
         assert res.restarts_used == ipr_mod.MAX_RESTARTS == 5
         assert [r.seed_kind for r in res.records] == ["random", "extended"] * 6
+        # every restart returns to the best-fidelity duration
+        assert [r.T for r in res.records if r.seed_kind == "random"] == [30.0] * 6
 
     def test_attempt_budget(self, h4_setup):
         sys, target = h4_setup
         cfg = IPRConfig(T_start=20.0, step=4.0, seed=6)
+        # fidelity strictly increasing in T but bounded far below the target
         res = ipr_run(sys, target, cfg, _fidelity_mock(lambda t: 0.5 * t / (t + 1)))
         assert len(res.records) == ipr_mod.MAX_ATTEMPTS == 200
         assert not res.succeeded and res.restarts_used == 0
+        assert res.T_best is None
+        assert all(not r.success for r in res.records)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
