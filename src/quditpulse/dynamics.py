@@ -29,9 +29,9 @@ products over groups of steps, built for all groups of a block at once, and
 applies each group's to chi as one GEMM, or, in a block that stores no
 state before its last step, the product of its steps, taken pairwise.  It
 stores only the states it is asked for.  If it stores one inside the last
-block, it hands its build of that block (per-qudit eigenpairs and
-exponentials, and the M_m copied before the prefix products overwrite them)
-to the reverse sweep, which starts there.  Its exact discrete adjoint
+block, it hands that block's per-qudit control factors (eigenvalues, phases
+and exponentials, fresh arrays) to the reverse sweep, which starts there
+and merges them into steps in its own buffers.  Its exact discrete adjoint
 ``reverse_sequence`` carries mu_m = lambda_m^H E back through the same M_m:
 mu_m = mu_{m+1} M_m + g_m with g_m the guard term.  Every M_m is unitary,
 so where the forward stored only some states, chi_m^H = chi_{m+1}^H M_m
@@ -39,8 +39,11 @@ rebuilds the others from the final one as h more rows of the same products,
 restarted from the stored states where a group of steps begins on their
 grid.  For matrices up to 10 x 10 it runs over groups of steps too, with
 each group's suffix products and guard sums built for all groups of a block
-at once, and it only reads the forward's block.  It differentiates each K_m
-in its closed-form eigenbasis through the divided-difference kernel of exp;
+at once, and it only reads the forward's factors.  It runs its per-step work
+in sub-blocks of each block under one byte budget, ``SWEEP_BYTES``: the
+recurrence too where it goes step by step, only the sensitivities where it
+goes by groups.  It differentiates each K_m in its closed-form eigenbasis
+through the divided-difference kernel of exp;
 each control operator acts on one qudit, so after the other qudit's K_m is
 contracted in only its own qudit's L x L kernel enters, projected as
 W^H T W = V^H (R^H T R) V.  Each product with a constant (E^2, E, V) is
@@ -93,7 +96,19 @@ GEMM_THREAD_BOUND = 65_536
 # block built its steps in fresh arrays, before the step buffers.
 BLOCK = 128
 
-# Each thread's step-build buffers (``step_unitaries``).
+# The byte budget of the sweeps' per-step temporaries.  It sets the reverse
+# sweep's sub-blocks (``sub_block_length``), in which each per-step array of
+# h x n entries (mu and rebuilt rows, guard terms, kets) holds at most
+# SWEEP_BYTES: halves of a block at 2q d=3 (64 steps) and 1q d=4 (455), whole
+# blocks at 1q d=2 and 2q d=2.  The K_2 rows of one partition of the two-qudit
+# step build take at most SWEEP_BYTES, fewer where ``_gemm``'s rule asks (20
+# steps, 195 KiB at 2q d=3), and the guard rows that ``guard_population_columns``
+# copies at a time half of it (8,192 entries).  On 2q d=3, 150 ns (2-core
+# Xeon, forward then backward, 41 rounds), a backward with sub-blocks of half
+# this budget took 1.07x as long as with whole blocks, with this one 1.00x.
+SWEEP_BYTES = 2**18
+
+# Each thread's step-build buffers (``merged_steps``).
 _buffers = threading.local()
 
 
@@ -218,6 +233,18 @@ def _drift_exponential(split: Splitting, t: float) -> np.ndarray:
     return out
 
 
+def _partitions(count: int, most: int) -> list[tuple[int, int]]:
+    """(lo, hi) of the fewest near-equal chunks of ``count`` items that hold at
+    most ``most`` each."""
+    parts = -(-count // max(1, most))
+    return [(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
+
+
+def _row_limit(const: np.ndarray) -> int:
+    """Rows of a GEMM with ``const`` that keep m * k * n < GEMM_THREAD_BOUND."""
+    return max(1, (GEMM_THREAD_BOUND - 1) // const.size)
+
+
 def _gemm(rows: np.ndarray, const: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """rows @ const for a stack of rows (..., k) and a constant (k, n): 2D GEMMs
     over near-equal chunks of m rows, m * k * n < ``GEMM_THREAD_BOUND``, so each
@@ -227,9 +254,7 @@ def _gemm(rows: np.ndarray, const: np.ndarray, out: np.ndarray | None = None) ->
     flat = rows.reshape(-1, rows.shape[-1])
     shape = (len(flat), const.shape[1])
     out = np.empty(shape, dtype=complex) if out is None else out.reshape(shape)
-    parts = -(-len(flat) // max(1, (GEMM_THREAD_BOUND - 1) // const.size))
-    for i in range(parts):
-        lo, hi = len(flat) * i // parts, len(flat) * (i + 1) // parts
+    for lo, hi in _partitions(len(flat), _row_limit(const)):
         np.matmul(flat[lo:hi], const, out=out[lo:hi])
     return out.reshape(rows.shape[:-1] + const.shape[1:])
 
@@ -256,35 +281,54 @@ def _qudit_exponential(split: Splitting, p: np.ndarray, q: np.ndarray,
 
 def step_unitaries(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
                    sl: slice) -> tuple[tuple, np.ndarray]:
-    """Per-qudit control eigenpairs and merged steps for one chunk of midpoints.
+    """Per-qudit control factors and merged steps for one chunk of midpoints.
 
     Returns (qudits, steps): the (eigvals, phases, exponentials) of the
-    qudits' control terms, each with leading axes (qudit, step), and
-    M = K E^2 at each midpoint.  The steps are a view of this thread's step
-    buffers, valid until this thread's next call.  The buffers hold the K_2
-    product rows (unused on one qudit) and the steps of at least a block; only
-    the most recent shape is kept, and it outlives the sweeps: glibc hands
-    arrays of a block's size back to the kernel when they are freed, and
-    fresh ones cost about 90 minor page faults per 2q d=2 build.
+    qudits' control terms, fresh arrays with leading axes (qudit, step), and
+    ``merged_steps`` of them.
     """
     qudits = _qudit_exponential(split, p[:, sl], q[:, sl], dt)
-    kmats = qudits[2]
+    return qudits, merged_steps(split, qudits[2], dt)
+
+
+def _buffer(name: str, shape: tuple) -> np.ndarray:
+    """This thread's step-build buffer ``name``, of the latest shape asked for."""
+    arr = getattr(_buffers, name, None)
+    if arr is None or arr.shape != shape:
+        arr = np.empty(shape, dtype=complex)
+        setattr(_buffers, name, arr)
+    return arr
+
+
+def merged_steps(split: Splitting, kmats: np.ndarray, dt: float) -> np.ndarray:
+    """M = K E^2 at each step from the qudits' control exponentials ``kmats``
+    (qudit, step, L, L), K = K_1 (x) K_2 on two qudits.
+
+    The steps are a view of this thread's step buffers, valid until this
+    thread's next call.  The buffers hold the steps of at least a block and,
+    on two qudits only, the K_2 rows of one partition; only the most recent
+    shape is kept, and it outlives the sweeps: glibc hands arrays of a
+    block's size back to the kernel when they are freed, and fresh ones
+    cost about 90 minor page faults per 2q d=2 build.
+    """
     size, levels, n = kmats.shape[1], kmats.shape[2], len(split.drift_vals)
-    shape = (2, max(size, block_length(n)), n, n)
-    arrays = getattr(_buffers, "arrays", None)
-    if arrays is None or arrays.shape != shape:
-        arrays = _buffers.arrays = np.empty(shape, dtype=complex)
-    rows, steps = arrays[:, :size]
+    steps = _buffer("steps", (max(size, block_length(n)), n, n))[:size]
     drift = _drift_exponential(split, dt)
     if split.num_qudits == 1:
-        return qudits, _gemm(kmats[0], drift, out=steps)
-    # (K_1 (x) K_2) E^2: K_2 on the second qudit's index of E^2 as one GEMM,
-    # then K_1 on the first qudit's as size * L products (L x L) @ (L x n),
-    # written through a transposed view of the steps.
+        return _gemm(kmats[0], drift, out=steps)
+    # (K_1 (x) K_2) E^2: per partition of whole steps, K_2 on the second
+    # qudit's index of E^2 as one GEMM, then K_1 on the first qudit's as L
+    # products (L x L) @ (L x n) per step, written through a transposed view
+    # of the steps.  K_1 reads only its own (step, level) row of K_2's.
     drift = drift.reshape(levels, levels, -1).swapaxes(0, 1).reshape(levels, -1)
-    raw = _gemm(kmats[1], drift, out=rows).reshape(size, levels, levels, n)
-    np.matmul(kmats[0][:, None], raw, out=steps.reshape(size, levels, levels, n).swapaxes(1, 2))
-    return qudits, steps
+    most = max(1, min(_row_limit(drift) // levels, SWEEP_BYTES // (16 * drift.size)))
+    rows = _buffer("rows", (most, levels, levels, n))
+    out = steps.reshape(size, levels, levels, n).swapaxes(1, 2)
+    for lo, hi in _partitions(size, most):
+        raw = rows[:hi - lo]
+        np.matmul(kmats[1, lo:hi].reshape(-1, levels), drift, out=raw.reshape(-1, drift.shape[1]))
+        np.matmul(kmats[0, lo:hi, None], raw, out=out[lo:hi])
+    return steps
 
 
 def _group_size(n: int, reverse: bool = False) -> int:
@@ -302,6 +346,12 @@ def _group_size(n: int, reverse: bool = False) -> int:
 def block_length(n: int) -> int:
     """Steps per block of both sweeps for n x n steps (see ``BLOCK``)."""
     return max(BLOCK, BLOCK * 16**2 // n**2)
+
+
+def sub_block_length(n: int, h: int) -> int:
+    """Steps per sub-block of the reverse sweep's per-step work for n x n
+    steps and h columns (see ``SWEEP_BYTES``)."""
+    return max(1, SWEEP_BYTES // (16 * n * h))
 
 
 def _block_edges(n_steps: int, length: int) -> list[tuple[int, int]]:
@@ -332,7 +382,7 @@ def propagate_sequence(
     ``p`` and ``q`` (K, n_steps) hold the control values at the step
     midpoints.  Returns (states, last): the states at the strictly increasing
     step indices in ``store`` (not empty) as one array (len(store),) +
-    initial.shape, and the read-only ``step_unitaries`` build of the last
+    initial.shape, and the read-only per-qudit control factors of the last
     block for ``reverse_sequence``, or None if it stores no state before its end.
     """
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
@@ -361,10 +411,10 @@ def propagate_sequence(
         # product of its steps, which leaves them as they are.
         chained = slot == len(wanted) or wanted[slot] >= stop
         if stop == n_steps and not chained:
-            # Copied out of the buffers, which later blocks and sweeps reuse,
-            # before the prefix products below overwrite the steps.
-            last = (qudits, steps.copy())
-            for arr in (last[1], *qudits):
+            # Fresh arrays, from which the reverse sweep rebuilds the steps
+            # that the prefix products below overwrite.
+            last = qudits
+            for arr in last:
                 arr.setflags(write=False)
         if chained:
             chi = block[-1] = _chain_product(steps) @ chi
@@ -410,53 +460,51 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
     ``states[i]`` is the state after ``store[i]`` steps, with ``store[-1]`` =
     n_steps; ``lam`` = dJ/d conj(states[-1]), and J adds the running cost
     ``weights[i] * sum(|states[i][mask]|^2)``.  The states ``store`` misses
-    are rebuilt backwards.  ``last`` is the forward sweep's build of the last
-    block, or None to build it here; it is only read.
+    are rebuilt backwards.  ``last`` is the forward sweep's per-qudit control
+    factors of the last block, or None to build them here; it is only read.
     """
     n_steps = p.shape[1]
     n_q, levels = split.num_qudits, len(split.ladder_vals)
     lowering, vecs = split.ladder_lowering, split.ladder_vecs
     half = _drift_exponential(split, 0.5 * dt)
     drift = _drift_exponential(split, dt)
-    group = _group_size(len(half), reverse=True)
-    length = min(block_length(len(half)), n_steps)
+    n, h = len(half), lam.shape[1]
+    group = _group_size(n, reverse=True)
+    length = min(block_length(n), n_steps)
+    sub = min(length, sub_block_length(n, h))
     # Rows :h hold mu_m = lambda_m^H E, so lambda_m = S_m^H lambda_{m+1} plus
     # the guard term of step m is mu_m = mu_{m+1} M_m + coef[m] psi_m^H mask E.
     # Unless ``store`` holds every step, rows h: hold chi_m^H = psi_m^H E =
     # chi_{m+1}^H M_m, the same recurrence without a guard term, so each
     # product updates both; they restart from the stored state at each step
     # on the grid that tops a group, so their rounding builds up over few
-    # steps.
-    h = lam.shape[1]
+    # steps.  Per-step recurrences (group 1) run a sub-block at a time, the
+    # grouped ones a block at a time.
     rebuild = len(store) <= n_steps
-    mus = np.empty((length + 1, 2 * h if rebuild else h, len(half)), dtype=complex)
-    prods = np.empty((length,) + half.shape, dtype=complex) if group > 1 else None
+    mus = np.empty(((sub if group == 1 else length) + 1, 2 * h if rebuild else h, n),
+                   dtype=complex)
     coef = np.zeros(n_steps + 1)
     coef[store] = weights
     final = states[-1].conj().T
     mu = lam.conj().T + coef[n_steps] * (final * mask)
     mu = _gemm(np.concatenate([mu, final]) if rebuild else mu, half)
     big = rebuild and 2 * h * half.size >= GEMM_THREAD_BOUND
-    halves = [slice(h), slice(h, None)] if big else [slice(None)]
     lower = np.empty((n_q, n_steps), dtype=complex)
     upper = np.empty((n_q, n_steps), dtype=complex)
 
-    # Each block runs in two calls whose arrays die when they return, so
-    # the block's temporaries are freed before the kernels run and only the
-    # eigenpairs outlive a block; its steps stay in this thread's buffers.
-    def recurrence(start: int, stop: int, mu: np.ndarray) -> tuple:
-        """mus[i] = rows_{start+i} for i <= size from mu = rows_stop; returns
-        the block's per-qudit control eigenpairs and exponentials."""
+    # The recurrence and the sensitivities run in calls whose arrays die when
+    # they return, so their temporaries are freed before the next call and
+    # only a block's control factors outlive them; its steps stay in this
+    # thread's buffers.
+    def recurrence(start: int, stop: int, mu: np.ndarray, steps: np.ndarray) -> None:
+        """mus[i] = rows_{start+i} for i <= size from mu = rows_stop, through
+        the steps from start to stop."""
         size = stop - start
-        if stop == n_steps and last is not None:
-            qudits, steps = last
-        else:
-            qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
-        # The guard terms, built only at the steps that have one.
+        # The guard terms, built only at the steps that have one, and kept
+        # only there where the recurrence goes step by step.
         hot = np.flatnonzero(coef[start:stop])
         guard = states[np.searchsorted(store, start + hot)].conj().swapaxes(1, 2) * mask
-        injected = np.zeros((size, h, len(half)), dtype=complex)
-        injected[hot] = _gemm(coef[start + hot, None, None] * guard, half)
+        terms = _gemm(coef[start + hot, None, None] * guard, half)
         restart = {}
         if rebuild:
             lo, top = np.searchsorted(store, [start, stop + 1])
@@ -465,25 +513,31 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
                                _gemm(states[tops].conj().swapaxes(1, 2), half)))
         mus[size] = mu
         if group == 1:
+            injected = dict(zip(hot.tolist(), terms))
+            rows, ops = list(mus[:size + 1]), list(steps)  # views, for the per-step loop
             for i in range(size - 1, -1, -1):
                 if start + i + 1 in restart:
-                    mus[i + 1, h:] = restart[start + i + 1]
-                for part in halves:
-                    np.matmul(mus[i + 1, part], steps[i], out=mus[i, part])
-                if coef[start + i]:
-                    mus[i, :h] += injected[i]
-            return qudits
+                    rows[i + 1][h:] = restart[start + i + 1]
+                if big:
+                    np.matmul(rows[i + 1][:h], ops[i], out=rows[i][:h])
+                    np.matmul(rows[i + 1][h:], ops[i], out=rows[i][h:])
+                else:
+                    np.matmul(rows[i + 1], ops[i], out=rows[i])
+                if i in injected:
+                    rows[i][:h] += injected[i]
+            return
         # Counted from the top of the block down, the steps r0..r of a group
         # give mu_r = mu_{r0-1} P_r + G_r with the suffix products
         # P_r = P_{r-1} M_r and guard sums G_r = G_{r-1} M_r + injected_r,
-        # built for all groups at once; P goes to a fresh array, as ``last``
-        # is only read.
-        down, suffix, sums = steps[::-1], prods[:size][::-1], injected[::-1]
-        suffix[::group] = down[::group]
+        # built for all groups at once; P overwrites the block's steps, which
+        # sit in this thread's buffers and are not read again.
+        injected = np.zeros((size, h, n), dtype=complex)
+        injected[hot] = terms
+        suffix, sums = steps[::-1], injected[::-1]
         for i in range(1, group):
             head = suffix[i::group]
-            np.matmul(suffix[i - 1::group][: len(head)], down[i::group], out=head)
-            sums[i::group] += sums[i - 1::group][: len(head)] @ down[i::group]
+            sums[i::group] += sums[i - 1::group][: len(head)] @ head
+            np.matmul(suffix[i - 1::group][: len(head)], head, out=head)
         guarded = (coef[start:stop] != 0)[::-1].tolist()
         rows = mus[:size][::-1]
         mu = mus[size]  # the rows overwrite mus[0]
@@ -494,9 +548,10 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
             if any(guarded[r:r + group]):
                 rows[r:r + group, :h] += sums[r:r + group]
             mu = rows[min(r + group, size) - 1]
-        return qudits
 
-    def sensitivities(start: int, stop: int, qudits: tuple) -> None:
+    def sensitivities(start: int, stop: int, rows: np.ndarray, qudits: tuple) -> None:
+        """The steps' sensitivities from start to stop, from ``rows`` =
+        rows_start .. rows_stop and those steps' control factors."""
         size = stop - start
         # S_m = E K_m E, so K_m's derivative sees E psi_m = E^2 chi_m and
         # mu_{m+1}: dJ/dc = 2 Re sum(G o (W^H T W)^T o W^H C W) for a control
@@ -505,10 +560,10 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
         # On two qudits the other qudit's K is contracted in and traced out:
         # the kernel's blocks diagonal in that qudit are its phases times G.
         if rebuild:
-            kets = _left_gemm(drift, mus[:size, h:].conj().swapaxes(1, 2))
+            kets = _left_gemm(drift, rows[:size, h:].conj().swapaxes(1, 2))
         else:
             kets = _left_gemm(half, states[start:stop])
-        bras = mus[1:size + 1, :h]
+        bras = rows[1:, :h]
         vals, phases, kmats = qudits
         if n_q == 1:
             reduced = (kets @ bras)[None]
@@ -529,18 +584,29 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
         upper[:, start:stop] = phase.conj() * np.einsum("kbij,ji->kb", weighted, lowering.conj())
 
     for start, stop in reversed(_block_edges(n_steps, length)):
-        sensitivities(start, stop, recurrence(start, stop, mu))
-        mu = mus[0]
+        if stop == n_steps and last is not None:
+            qudits, steps = last, merged_steps(split, last[2], dt)
+        else:
+            qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
+        if group > 1:
+            recurrence(start, stop, mu, steps)
+        # Sub-blocks of the block, from its top down.
+        for lo, hi in reversed(_partitions(stop - start, sub)):
+            if group == 1:
+                recurrence(start + lo, start + hi, mu, steps[lo:hi])
+            rows = mus[:hi - lo + 1] if group == 1 else mus[lo:hi + 1]
+            sensitivities(start + lo, start + hi, rows, tuple(arr[:, lo:hi] for arr in qudits))
+            mu = mus[0]
     return 2.0 * np.real(lower + upper), -2.0 * np.imag(lower - upper)
 
 
 def guard_population_columns(states: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Per-column population on guard-containing basis states of a stack of
     states (S, n, h).  Only the guard rows are copied, from chunks of states
-    of at most 8,192 entries: with the step buffers alive, a copy of all of
-    them (2.25 MB at 2q d=3, 150 ns) set a forward's peak memory."""
+    of at most SWEEP_BYTES / 32 entries: with the step buffers alive, a copy
+    of all of them (2.25 MB at 2q d=3, 150 ns) set a forward's peak memory."""
     pop = np.empty((len(states), states.shape[-1]))
-    chunk = max(1, 8192 // states[0].size)
+    chunk = max(1, SWEEP_BYTES // 32 // states[0].size)
     for s in range(0, len(states), chunk):
         part = np.abs(states[s:s + chunk, mask])
         part *= part
@@ -552,7 +618,9 @@ def guard_population_columns(states: np.ndarray, mask: np.ndarray) -> np.ndarray
 class Trajectory:
     """One forward sweep: states (S, n, h) and guard_pop (S, h) after
     ``steps`` (S,) steps of ``grid``, the controls p, q (K, n_steps) at its
-    step midpoints, and ``last`` from ``propagate_sequence``.
+    step midpoints, and ``last``, the read-only per-qudit control factors of
+    the last block from ``propagate_sequence`` (None where no state is stored
+    inside that block), from which the reverse sweep rebuilds its steps.
 
     ``states[s, :, c]`` is essential basis column c at time ``times[s]``;
     ``guard_pop[s, c]`` is that column's total population on

@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from quditpulse import dynamics
 from quditpulse.dynamics import (
     BLOCK,
     MIN_STEPS_PER_NS,
+    SWEEP_BYTES,
     PropagationError,
     _gemm,
     _group_size,
@@ -19,6 +21,7 @@ from quditpulse.dynamics import (
     reverse_sequence,
     step_grid,
     step_unitaries,
+    sub_block_length,
     system_operators,
 )
 from quditpulse.model import (
@@ -62,11 +65,17 @@ class TestPropagate:
 
     def test_final_state_only_hands_on_no_block(self):
         # Storing only the final state chains the last block, so there is no
-        # build of it to hand to the reverse sweep.
-        sys = transmon_system(num_qudits=1, d=2, guard=2)
+        # build of it to hand to the reverse sweep.  Otherwise the hand-off is
+        # the last block's read-only per-qudit control factors, from which the
+        # reverse sweep rebuilds the steps, and no n x n step.
+        sys = transmon_system(num_qudits=2, d=2, guard=2)
         params = random_pulse(sys, 20.0, 0.5, 3)
         assert propagate(sys, params, store_trajectory=False).last is None
-        assert propagate(sys, params).last is not None
+        traj = propagate(sys, params)
+        size, levels = block_length(sys.dim_total), sys.levels
+        shapes = [(2, size, levels)] * 2 + [(2, size, levels, levels)]
+        assert [arr.shape for arr in traj.last] == shapes
+        assert not any(arr.flags.writeable for arr in traj.last)
 
     def test_time_reversal(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
@@ -235,6 +244,20 @@ class TestFactorKernels:
         assert propagate_sequence(split, p, q, dt, embed, grid)[1] is None
         assert self._adjoint_error(num_qudits, d, n_steps, grid) <= 1e-13
 
+    @pytest.mark.parametrize("num_qudits, d", [(1, 4), (2, 3)])
+    def test_adjoint_matches_per_step_formula_across_sub_blocks(self, num_qudits, d):
+        # The reverse sweep's per-step work runs in sub-blocks inside each
+        # block; over a short first block and a full one whose sub-block edges
+        # each carry a stored state and a guard term.
+        sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
+        length = block_length(sys.dim_total)
+        sub = sub_block_length(sys.dim_total, sys.dim_essential)
+        assert sub < length
+        n_steps = length + sub // 2
+        edges = [n_steps - length + lo for lo, _ in dynamics._partitions(length, sub)]
+        grid = np.unique(np.concatenate([np.arange(0, n_steps, 5), edges, [n_steps]]))
+        assert self._adjoint_error(num_qudits, d, n_steps, grid) <= 1e-13
+
     @pytest.mark.parametrize("num_qudits, d, n_steps", [(1, 5, 4400), (2, 2, 4000)])
     def test_adjoint_matches_per_step_formula_on_long_pulses(self, num_qudits, d, n_steps):
         # The sparse grid is the guard grid of the objective.
@@ -265,26 +288,24 @@ class TestFactorKernels:
         # product the sweeps issue through np.matmul, the chunked GEMMs among
         # them, has m * n * k below 65,536, from which OpenBLAS 0.3.31 runs a
         # zgemm on two threads.  Among them are the GEMMs that write into the
-        # step buffers and, on two qudits, the step build's broadcast
-        # products (L x L) @ (L x n).
+        # step buffers and, on two qudits, the K_2 GEMMs into the rows buffer
+        # and the step build's broadcast products (L x L) @ (L x n).
         n_steps = _block_length(num_qudits, d) + 37
         _, split, embed, mask, p, q, dt, _ = _factor_system(num_qudits, d, n_steps, d)
         sizes, seen = [], set()
-        matmul, gemm = np.matmul, dynamics._gemm
+        matmul = np.matmul
 
         def recording_matmul(a, b, **kwargs):
             sizes.append((a.shape[-2] if a.ndim > 1 else 1) * a.shape[-1] * b.shape[-1])
             if a.ndim == 4 and a.shape[1] == 1:
                 seen.add("broadcast")
+            out = kwargs.get("out")
+            for name, buffer in vars(dynamics._buffers).items():
+                if out is not None and np.may_share_memory(out, buffer):
+                    seen.add(name)
             return matmul(a, b, **kwargs)
 
-        def recording_gemm(rows, const, out=None):
-            if out is not None:
-                seen.add("gemm into a buffer")
-            return gemm(rows, const, out=out)
-
         monkeypatch.setattr(np, "matmul", recording_matmul)
-        monkeypatch.setattr(dynamics, "_gemm", recording_gemm)
         for stride in (1, 4):
             store = np.append(np.arange(0, n_steps, stride), n_steps)
             states, last = propagate_sequence(split, p, q, dt, embed, store)
@@ -292,8 +313,28 @@ class TestFactorKernels:
                              mask, last)
         monkeypatch.undo()
         assert sizes and max(sizes) < 65_536
-        assert seen == ({"gemm into a buffer", "broadcast"} if num_qudits == 2
-                        else {"gemm into a buffer"})
+        assert seen == ({"steps", "rows", "broadcast"} if num_qudits == 2 else {"steps"})
+
+    def test_step_buffers_are_sized_by_use(self):
+        # A thread's buffers hold the steps of a block and, on two qudits
+        # only, the K_2 rows of one partition of the step build, within the
+        # byte budget.
+        def buffers(num_qudits, d):
+            n_steps = _block_length(num_qudits, d)
+            _, split, _, _, p, q, dt, _ = _factor_system(num_qudits, d, n_steps, d)
+            step_unitaries(split, p, q, dt, slice(None))
+            return {name: arr.shape for name, arr in vars(dynamics._buffers).items()}
+
+        shapes = []
+        thread = threading.Thread(target=lambda: shapes.extend(
+            [buffers(1, 4), buffers(2, 3)]))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        one, two = shapes
+        assert one == {"steps": (block_length(6), 6, 6)}
+        assert set(two) == {"steps", "rows"} and two["steps"] == (BLOCK, 25, 25)
+        assert 16 * np.prod(two["rows"]) <= SWEEP_BYTES < 16 * BLOCK * 25**2
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_block_length_moves_only_rounding(self, d, monkeypatch):
@@ -406,7 +447,7 @@ class TestTrajectory:
         sys = transmon_system(num_qudits=2, d=3, guard=2)
         traj = propagate(sys, random_pulse(sys, 40.0, 0.5, 9))
         mask = system_operators(sys)[2]
-        assert len(traj.states) > 8192 // traj.states[0].size
+        assert len(traj.states) > SWEEP_BYTES // 32 // traj.states[0].size
         pop = np.abs(traj.states[:, mask])
         pop *= pop
         assert np.array_equal(traj.guard_pop, pop.sum(axis=-2))

@@ -273,8 +273,9 @@ class TestGradient:
     @pytest.mark.parametrize("num_qudits, d, gate_name", [
         (1, 2, "X_d"), (2, 2, "CNOT"), (2, 3, "SWAP_d")])
     def test_backward_is_pure(self, num_qudits, d, gate_name):
-        # The reverse sweep reads the forward's last block of steps; two
-        # gradients from one cache agree bit for bit and leave it unchanged.
+        # The reverse sweep reads the forward's control factors of the last
+        # block; two gradients from one cache agree bit for bit and leave it
+        # unchanged.
         sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
         params = random_pulse(sys, 2 * block_length(sys.dim_total) / 20 + 1.0, 0.5, 29)
         cache = forward(sys, params, gate(gate_name, d), ObjectiveConfig(w_guard=0.3),
@@ -300,9 +301,10 @@ class TestGradient:
         (1, 2, "X_d"), (2, 2, "CNOT"), (2, 3, "SWAP_d")])
     def test_backward_ignores_later_sweeps(self, num_qudits, d, gate_name):
         # The sweeps build their steps in buffers that the next block and the
-        # next sweep on this thread reuse; the forward's last block, which
-        # the reverse sweep reads, is the cache's own copy, so a forward and
-        # backward of another pulse in between leave the gradient unchanged.
+        # next sweep on this thread reuse; the reverse sweep rebuilds the last
+        # block's steps there from the control factors that the cache owns,
+        # so a forward and backward of another pulse in between leave the
+        # gradient unchanged.
         sys = transmon_system(num_qudits=num_qudits, d=d, guard=2)
         T = 2 * block_length(sys.dim_total) / 20 + 1.0
         target, cfg = gate(gate_name, d), ObjectiveConfig(w_guard=0.3)
@@ -389,6 +391,32 @@ class TestGradient:
 
 
 class TestMemory:
+    def test_gradient_working_set(self):
+        # One gradient of the eval_matrix benchmark's 2q d=3 SWAP_d pulse at
+        # the claim resolution (150 ns, 1,950 steps), in a fresh thread, so
+        # that its step buffers count.  The guard-grid states take 3.4 MB.
+        # Handing the reverse sweep a copy of the last block's steps, building
+        # the K_2 rows a block at a time and the reverse per-step work a whole
+        # block at a time peaked at 10.8 MB.
+        sys = transmon_system(num_qudits=2, d=3, guard=2)
+        params = random_pulse(sys, 150.0, 0.3, 16)
+        target, cfg = gate("SWAP_d", 3), ObjectiveConfig()
+        backward(forward(sys, params, target, cfg))  # fills the step grid's caches
+        peaks = []
+
+        def measure():
+            tracemalloc.start()
+            try:
+                backward(forward(sys, params, target, cfg))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=measure)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and peaks and peaks[0] <= 8e6
+
     def test_gradient_keeps_no_trajectory(self):
         # The eval_matrix benchmark's largest system: 2q d=3, T = 150 ns, at 40
         # steps/ns 6,000 steps.  Storing every state took 21.6 MB and one
