@@ -28,10 +28,10 @@ sweep ``propagate_sequence`` multiplies, for matrices up to 16 x 16, prefix
 products over groups of steps, built for all groups of a block at once, and
 applies each group's to chi as one GEMM, or, in a block that stores no
 state before its last step, the product of its steps, taken pairwise.  It
-stores only the states it is asked for.  If it stores one inside the last
-block, it hands that block's per-qudit control factors (eigenvalues, phases
-and exponentials, fresh arrays) to the reverse sweep, which starts there
-and merges them into steps in its own buffers.  Its exact discrete adjoint
+stores only the states it is asked for, and hands the last block's
+per-qudit control factors (eigenvalues, phases and exponentials, fresh
+arrays) to the reverse sweep, which starts there and merges them into steps
+in its own buffers.  Its exact discrete adjoint
 ``reverse_sequence`` carries mu_m = lambda_m^H E back through the same M_m:
 mu_m = mu_{m+1} M_m + g_m with g_m the guard term.  Every M_m is unitary,
 so where the forward stored only some states, chi_m^H = chi_{m+1}^H M_m
@@ -47,7 +47,8 @@ through the divided-difference kernel of exp;
 each control operator acts on one qudit, so after the other qudit's K_m is
 contracted in only its own qudit's L x L kernel enters, projected as
 W^H T W = V^H (R^H T R) V.  Each product with a constant (E^2, E, V) is
-a 2D GEMM over a block's stacked rows, on one BLAS thread.  The only
+a 2D GEMM over a block's stacked rows, and every product of both sweeps
+goes through ``np.matmul`` on one BLAS thread.  The only
 eigendecompositions are those cached by ``system_operators``, so their
 number does not grow with the step count.  ``propagate`` is the one forward
 pass, and one ``StepGrid`` stays cached.
@@ -79,13 +80,15 @@ MAX_STORED_STEPS = 1000
 # OpenBLAS 0.3.31 (2-core Xeon) runs a zgemm from 65,536 on two threads:
 # (255 x 16) @ (16 x 16) took 24 us at cpu/wall 1.00, (256 x 16) @ (16 x 16)
 # 20 us at 1.95, so a second thread costs more CPU than it saves wall time.
-# ``_gemm`` chunks its rows to keep it at any size.  The per-step products of
-# n x n steps and h rows or columns keep it up to d=38 on one qudit and d=5 on
-# two, as the reverse sweep splits its 2h rebuild rows in two where they reach
-# it (120,050 at 2q d=5).  From 2q d=6 the h columns do too (147,456).  The
-# forward's group products stack at most 11 x 16 rows (45,056 at n = h = 16).
-# The two-qudit step build applies K_1 as B * L products (L x L) @ (L x n) for
-# a block of B steps and L levels per qudit (2,401 at 2q d=5).
+# ``_gemm`` chunks its rows to keep it at any size, and so does the forward's
+# pairwise product of a block's steps, from n = 41 (117,649 unsplit at 2q d=5).
+# The per-step products of n x n steps and h rows or columns keep it up to
+# d=38 on one qudit and d=5 on two, as the reverse sweep splits its 2h rebuild
+# rows in two where they reach it (120,050 at 2q d=5).  From 2q d=6 the h
+# columns do too (147,456).  The forward's group products stack at most
+# 11 x 16 rows (45,056 at n = h = 16).  The two-qudit step build applies K_1
+# as B * L products (L x L) @ (L x n) for a block of B steps and L levels per
+# qudit (2,401 at 2q d=5).
 GEMM_THREAD_BOUND = 65_536
 
 # Steps per block of both sweeps (``block_length``): as many n x n steps as
@@ -362,9 +365,14 @@ def _block_edges(n_steps: int, length: int) -> list[tuple[int, int]]:
 
 
 def _chain_product(steps: np.ndarray) -> np.ndarray:
-    """steps[-1] @ ... @ steps[0], as log2 stacked products of neighbours."""
+    """steps[-1] @ ... @ steps[0], as log2 stacked products of neighbours,
+    each split by rows as ``_gemm`` splits its products."""
+    parts = _partitions(steps.shape[1], _row_limit(steps[0]))
     while len(steps) > 1:
-        pairs = steps[1::2] @ steps[:-1:2]
+        left, right = steps[1::2], steps[:-1:2]
+        pairs = np.empty(left.shape, dtype=complex)
+        for lo, hi in parts:
+            np.matmul(left[:, lo:hi], right, out=pairs[:, lo:hi])
         steps = np.concatenate((pairs, steps[-1:])) if len(steps) % 2 else pairs
     return steps[0]
 
@@ -383,7 +391,7 @@ def propagate_sequence(
     midpoints.  Returns (states, last): the states at the strictly increasing
     step indices in ``store`` (not empty) as one array (len(store),) +
     initial.shape, and the read-only per-qudit control factors of the last
-    block for ``reverse_sequence``, or None if it stores no state before its end.
+    block for ``reverse_sequence`` (None for a pulse of no steps).
     """
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
         raise PropagationError("controls produced non-finite values")
@@ -394,7 +402,7 @@ def propagate_sequence(
         raise ValueError("store must be strictly increasing step indices")
     states = np.empty((len(wanted),) + np.shape(initial), dtype=complex)
     half = _drift_exponential(split, 0.5 * dt)
-    chi = half.conj().T @ np.asarray(initial, dtype=complex)
+    chi = np.matmul(half.conj().T, np.asarray(initial, dtype=complex))
     n = len(half)
     length = block_length(n)
     chis = np.empty((min(length, n_steps),) + chi.shape, dtype=complex)
@@ -410,14 +418,14 @@ def propagate_sequence(
         # A block that stores no state before its last step needs only the
         # product of its steps, which leaves them as they are.
         chained = slot == len(wanted) or wanted[slot] >= stop
-        if stop == n_steps and not chained:
+        if stop == n_steps:
             # Fresh arrays, from which the reverse sweep rebuilds the steps
-            # that the prefix products below overwrite.
+            # in its own buffers.
             last = qudits
             for arr in last:
                 arr.setflags(write=False)
         if chained:
-            chi = block[-1] = _chain_product(steps) @ chi
+            chi = block[-1] = np.matmul(_chain_product(steps), chi)
         else:
             # Prefix products within each group of steps, all groups at once,
             # each group's applied to chi as one GEMM of its stacked rows.
@@ -447,21 +455,23 @@ def _traced_pair(kets: np.ndarray, bras: np.ndarray, kmat: np.ndarray) -> np.nda
     step: the first qudit's block of kets bras (I (x) K), traced over the
     second qudit, as two batched products."""
     size, levels, _, cols = kets.shape
-    inner = (bras.reshape(size, -1, levels) @ kmat).reshape(size, cols, levels, levels)
-    return kets.reshape(size, levels, -1) @ inner.transpose(0, 3, 1, 2).reshape(size, -1, levels)
+    inner = np.matmul(bras.reshape(size, -1, levels), kmat).reshape(size, cols, levels, levels)
+    return np.matmul(kets.reshape(size, levels, -1),
+                     inner.transpose(0, 3, 1, 2).reshape(size, -1, levels))
 
 
 def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
                      store: np.ndarray, states: np.ndarray, lam: np.ndarray,
                      weights: np.ndarray, mask: np.ndarray,
-                     last: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+                     last: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of ``propagate_sequence``: (dJ/dp, dJ/dq), each shaped like p.
 
     ``states[i]`` is the state after ``store[i]`` steps, with ``store[-1]`` =
     n_steps; ``lam`` = dJ/d conj(states[-1]), and J adds the running cost
     ``weights[i] * sum(|states[i][mask]|^2)``.  The states ``store`` misses
     are rebuilt backwards.  ``last`` is the forward sweep's per-qudit control
-    factors of the last block, or None to build them here; it is only read.
+    factors of the last block, from which it builds that block's steps; it
+    is only read.
     """
     n_steps = p.shape[1]
     n_q, levels = split.num_qudits, len(split.ladder_vals)
@@ -536,7 +546,7 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
         suffix, sums = steps[::-1], injected[::-1]
         for i in range(1, group):
             head = suffix[i::group]
-            sums[i::group] += sums[i - 1::group][: len(head)] @ head
+            sums[i::group] += np.matmul(sums[i - 1::group][: len(head)], head)
             np.matmul(suffix[i - 1::group][: len(head)], head, out=head)
         guarded = (coef[start:stop] != 0)[::-1].tolist()
         rows = mus[:size][::-1]
@@ -566,7 +576,7 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
         bras = rows[1:, :h]
         vals, phases, kmats = qudits
         if n_q == 1:
-            reduced = (kets @ bras)[None]
+            reduced = np.matmul(kets, bras)[None]
         else:
             kets = kets.reshape(size, levels, levels, -1)
             bras = bras.reshape(size, -1, levels, levels)
@@ -584,7 +594,7 @@ def reverse_sequence(split: Splitting, p: np.ndarray, q: np.ndarray, dt: float,
         upper[:, start:stop] = phase.conj() * np.einsum("kbij,ji->kb", weighted, lowering.conj())
 
     for start, stop in reversed(_block_edges(n_steps, length)):
-        if stop == n_steps and last is not None:
+        if stop == n_steps:
             qudits, steps = last, merged_steps(split, last[2], dt)
         else:
             qudits, steps = step_unitaries(split, p, q, dt, slice(start, stop))
@@ -619,8 +629,8 @@ class Trajectory:
     """One forward sweep: states (S, n, h) and guard_pop (S, h) after
     ``steps`` (S,) steps of ``grid``, the controls p, q (K, n_steps) at its
     step midpoints, and ``last``, the read-only per-qudit control factors of
-    the last block from ``propagate_sequence`` (None where no state is stored
-    inside that block), from which the reverse sweep rebuilds its steps.
+    the last block from ``propagate_sequence``, from which the reverse sweep
+    rebuilds its steps.
 
     ``states[s, :, c]`` is essential basis column c at time ``times[s]``;
     ``guard_pop[s, c]`` is that column's total population on
@@ -633,7 +643,7 @@ class Trajectory:
     grid: StepGrid
     p: np.ndarray
     q: np.ndarray
-    last: tuple | None
+    last: tuple
 
     @property
     def times(self) -> np.ndarray:

@@ -1,5 +1,10 @@
-"""Transmon qudit model: ladder operators, rotating-frame Hamiltonians,
-guard-level embedding, and the generalized gate library.
+"""Transmon qudit model: ladder operators, the rotating-frame drift
+Hamiltonian, guard-level embedding, and the generalized gate library.
+
+Each qudit is driven by p_k(t) A_k + q_k(t) B_k with A = a + a^dag and
+B = 1j (a - a^dag), a its lowering operator.  ``dynamics`` applies them in
+closed form from the eigenpairs of a + a^dag; the explicit pairs are the
+tests' reference, in tests/reference.py.
 
 Unit conventions: all frequencies are angular and stored in rad/ns
 (2*pi times the value in GHz), time is in ns, and hbar = 1, so a
@@ -147,22 +152,14 @@ def lowering_operator(n: int) -> np.ndarray:
     return a
 
 
-def _promoted_lowering(sys: QuditSystem) -> list[np.ndarray]:
-    """Per-qudit lowering operators on the full tensor-product space."""
-    a = lowering_operator(sys.levels)
-    if sys.num_qudits == 1:
-        return [a]
-    eye = np.eye(sys.levels)
-    return [np.kron(a, eye), np.kron(eye, a)]
-
-
 def drift_hamiltonian(sys: QuditSystem) -> np.ndarray:
     """Time-independent part of the rotating-frame Hamiltonian.
 
     Sum over qudits of detuning and anharmonicity terms, plus the
     excitation-exchange coupling for two qudits.
     """
-    ops = _promoted_lowering(sys)
+    low, eye = lowering_operator(sys.levels), np.eye(sys.levels)
+    ops = [low] if sys.num_qudits == 1 else [np.kron(low, eye), np.kron(eye, low)]
     h = np.zeros((sys.dim_total, sys.dim_total), dtype=complex)
     for k, a in enumerate(ops):
         num = a.conj().T @ a
@@ -172,19 +169,6 @@ def drift_hamiltonian(sys: QuditSystem) -> np.ndarray:
         a1, a2 = ops
         h += sys.coupling * (a1.conj().T @ a2 + a2.conj().T @ a1)
     return h
-
-
-def control_operators(sys: QuditSystem) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-qudit drive operator pairs (A_k, B_k), both Hermitian.
-
-    A_k couples to the in-phase control p_k(t), B_k to the quadrature q_k(t).
-    ``dynamics`` builds exp(-1j dt (p A_k + q B_k)) in closed form from this
-    form, A = a + a^dag and B = 1j (a - a^dag); the tests check the two agree.
-    """
-    pairs = []
-    for a in _promoted_lowering(sys):
-        pairs.append((a + a.conj().T, 1j * (a - a.conj().T)))
-    return pairs
 
 
 def _single_qudit_gate(name: str, d: int) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Per-step reference formulas that the sweep tests check ``reverse_sequence``
-and ``backward`` against, and the pulses and pulse files the tests share."""
+and ``backward`` against, the explicit control operators that ``dynamics``
+applies in closed form, and the pulses and pulse files the tests share."""
 
 import numpy as np
 
 from quditpulse import dynamics
 from quditpulse.dynamics import default_steps_per_ns, step_unitaries, system_operators
-from quditpulse.model import control_operators
+from quditpulse.model import lowering_operator
 from quditpulse.pulse import default_params, random_guess, save_pulse
 
 
@@ -21,6 +22,16 @@ def write_pulse(path, sys, params=None, fidelity=1.0, metadata=None):
     CLI writers do; by default the 10 ns zero pulse."""
     params = default_params(sys, 10.0) if params is None else params
     save_pulse(path, sys, params, fidelity, metadata or {}, default_steps_per_ns(sys))
+
+
+def control_operators(sys):
+    """Per-qudit drive operator pairs (A_k, B_k) on the full space, both
+    Hermitian: A = a + a^dag couples to the in-phase control p_k(t),
+    B = 1j (a - a^dag) to the quadrature q_k(t), a the qudit's lowering
+    operator."""
+    low, eye = lowering_operator(sys.levels), np.eye(sys.levels)
+    ops = [low] if sys.num_qudits == 1 else [np.kron(low, eye), np.kron(eye, low)]
+    return [(a + a.conj().T, 1j * (a - a.conj().T)) for a in ops]
 
 
 def control_hamiltonian(ops, p, q, m):

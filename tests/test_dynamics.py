@@ -1,3 +1,4 @@
+import inspect
 import threading
 from dataclasses import replace
 
@@ -25,7 +26,6 @@ from quditpulse.dynamics import (
     system_operators,
 )
 from quditpulse.model import (
-    control_operators,
     drift_hamiltonian,
     embed_isometry,
     embed_target,
@@ -34,7 +34,12 @@ from quditpulse.model import (
 )
 from quditpulse.objective import trace_infidelity
 from quditpulse.pulse import default_params, eval_controls
-from reference import control_hamiltonian, per_step_sensitivities, random_pulse
+from reference import (
+    control_hamiltonian,
+    control_operators,
+    per_step_sensitivities,
+    random_pulse,
+)
 
 
 def _stored(n_steps):
@@ -63,19 +68,19 @@ class TestPropagate:
         norms = np.linalg.norm(traj.states, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
 
-    def test_final_state_only_hands_on_no_block(self):
-        # Storing only the final state chains the last block, so there is no
-        # build of it to hand to the reverse sweep.  Otherwise the hand-off is
-        # the last block's read-only per-qudit control factors, from which the
-        # reverse sweep rebuilds the steps, and no n x n step.
+    def test_final_state_only_hands_on_the_last_block(self):
+        # With the guard grid's states stored, and with only the final one,
+        # which chains the last block, the hand-off is the last block's
+        # read-only per-qudit control factors, from which the reverse sweep
+        # rebuilds the steps, and no n x n step.
         sys = transmon_system(num_qudits=2, d=2, guard=2)
         params = random_pulse(sys, 20.0, 0.5, 3)
-        assert propagate(sys, params, store_trajectory=False).last is None
-        traj = propagate(sys, params)
         size, levels = block_length(sys.dim_total), sys.levels
         shapes = [(2, size, levels)] * 2 + [(2, size, levels, levels)]
-        assert [arr.shape for arr in traj.last] == shapes
-        assert not any(arr.flags.writeable for arr in traj.last)
+        for store_trajectory in (True, False):
+            last = propagate(sys, params, store_trajectory=store_trajectory).last
+            assert [arr.shape for arr in last] == shapes
+            assert not any(arr.flags.writeable for arr in last)
 
     def test_time_reversal(self):
         sys = transmon_system(num_qudits=1, d=3, guard=2)
@@ -233,15 +238,16 @@ class TestFactorKernels:
         assert self._adjoint_error(num_qudits, d, n_steps, grid) <= 1e-13
 
     @pytest.mark.parametrize("num_qudits, d", [(1, 2), (2, 3)])
-    def test_adjoint_builds_a_last_block_that_stores_no_state(self, num_qudits, d):
+    def test_adjoint_takes_a_chained_last_block_from_the_forward(self, num_qudits, d):
         # The sparse grid's last state before the end is the last block's
-        # start, so the forward sweep only chains that block and hands no
-        # build of it on; the reverse sweep builds it itself.
+        # start, so the forward sweep only chains that block, and still hands
+        # its factors on.
         length = _block_length(num_qudits, d)
         n_steps = 2 * length + 5
         grid = np.append(np.arange(0, n_steps - length, 3), [n_steps - length, n_steps])
         _, split, embed, _, p, q, dt, _ = _factor_system(num_qudits, d, n_steps, 7 + d)
-        assert propagate_sequence(split, p, q, dt, embed, grid)[1] is None
+        last = propagate_sequence(split, p, q, dt, embed, grid)[1]
+        assert [arr.shape[:2] for arr in last] == [(num_qudits, length)] * 3
         assert self._adjoint_error(num_qudits, d, n_steps, grid) <= 1e-13
 
     @pytest.mark.parametrize("num_qudits, d", [(1, 4), (2, 3)])
@@ -284,19 +290,22 @@ class TestFactorKernels:
     @pytest.mark.parametrize("num_qudits, d", SYSTEMS + [(2, 5)])
     def test_every_gemm_stays_on_one_blas_thread(self, num_qudits, d, monkeypatch):
         # Both sweeps over a short first block and a full one, with every
-        # state stored and with the states between every 4th rebuilt; every
-        # product the sweeps issue through np.matmul, the chunked GEMMs among
-        # them, has m * n * k below 65,536, from which OpenBLAS 0.3.31 runs a
-        # zgemm on two threads.  Among them are the GEMMs that write into the
-        # step buffers and, on two qudits, the K_2 GEMMs into the rows buffer
-        # and the step build's broadcast products (L x L) @ (L x n).
+        # state stored, with the states between every 4th rebuilt and with
+        # only the final state, whose forward chains each block's steps; every
+        # product the sweeps make, all through np.matmul, has m * n * k below
+        # 65,536, from which OpenBLAS 0.3.31 runs a zgemm on two threads.  Among
+        # them are the GEMMs that write into the step buffers and, on two
+        # qudits, the K_2 GEMMs into the rows buffer and the step build's
+        # broadcast products (L x L) @ (L x n); each function of the sweeps
+        # that multiplies calls np.matmul.
         n_steps = _block_length(num_qudits, d) + 37
         _, split, embed, mask, p, q, dt, _ = _factor_system(num_qudits, d, n_steps, d)
-        sizes, seen = [], set()
+        sizes, seen, callers = [], set(), set()
         matmul = np.matmul
 
         def recording_matmul(a, b, **kwargs):
             sizes.append((a.shape[-2] if a.ndim > 1 else 1) * a.shape[-1] * b.shape[-1])
+            callers.add(inspect.currentframe().f_back.f_code.co_name)
             if a.ndim == 4 and a.shape[1] == 1:
                 seen.add("broadcast")
             out = kwargs.get("out")
@@ -306,7 +315,7 @@ class TestFactorKernels:
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", recording_matmul)
-        for stride in (1, 4):
+        for stride in (1, 4, n_steps):
             store = np.append(np.arange(0, n_steps, stride), n_steps)
             states, last = propagate_sequence(split, p, q, dt, embed, store)
             reverse_sequence(split, p, q, dt, store, states, embed, np.full(len(store), 0.1),
@@ -314,6 +323,9 @@ class TestFactorKernels:
         monkeypatch.undo()
         assert sizes and max(sizes) < 65_536
         assert seen == ({"steps", "rows", "broadcast"} if num_qudits == 2 else {"steps"})
+        sweeps = {"_gemm", "propagate_sequence", "_chain_product", "recurrence"}
+        assert callers == sweeps | ({"merged_steps", "_traced_pair"} if num_qudits == 2
+                                    else {"sensitivities"})
 
     def test_step_buffers_are_sized_by_use(self):
         # A thread's buffers hold the steps of a block and, on two qudits
@@ -357,6 +369,18 @@ class TestFactorKernels:
         for (states, grad), (states_128, grad_128) in zip(runs[:2], runs[2:]):
             assert np.max(np.abs(states - states_128)) <= 1e-13 * np.max(np.abs(states_128))
             assert np.max(np.abs(grad - grad_128)) <= 1e-13 * np.max(np.abs(grad_128))
+
+    @pytest.mark.parametrize("num_qudits, d", [(1, 2), (2, 3), (2, 5)])
+    def test_chain_product_is_independent_of_row_split(self, num_qudits, d, monkeypatch):
+        # The forward's pairwise products of a block's steps split their rows
+        # below GEMM_THREAD_BOUND, in two parts at 2q d=5 and in one below;
+        # in parts of at most 3 or 7 rows, or in one, the product is the same.
+        _, split, _, _, p, q, dt, _ = _factor_system(num_qudits, d, BLOCK + 1, d)
+        steps = step_unitaries(split, p, q, dt, slice(None))[1].copy()
+        product, n = dynamics._chain_product(steps), steps.shape[1]
+        for rows in (3, 7, n):
+            monkeypatch.setattr(dynamics, "GEMM_THREAD_BOUND", rows * n * n + 1)
+            assert np.array_equal(dynamics._chain_product(steps), product), rows
 
     @pytest.mark.parametrize("n", [4, 6, 16, 25])
     @pytest.mark.parametrize("stack", [1, 81, BLOCK])

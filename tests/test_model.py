@@ -4,7 +4,6 @@ import pytest
 from quditpulse.model import (
     GateSpec,
     QuditSystem,
-    control_operators,
     drift_hamiltonian,
     embed_isometry,
     embed_target,
@@ -12,6 +11,7 @@ from quditpulse.model import (
     lowering_operator,
     transmon_system,
 )
+from reference import control_operators
 
 TWO_PI = 2 * np.pi
 

@@ -2,10 +2,12 @@
 
     python3 tools/fingerprint.py [--out FILE] [--against REV]
 
-Runs serially on one BLAS thread (``OPENBLAS_NUM_THREADS=1``,
-``QUDITPULSE_THREADS=1``) against the library in ``src/`` of this checkout
-and writes one deterministic JSON document (to FILE, else to standard
-output).  Its fields:
+Runs against the library in ``src/`` of this checkout and writes one
+deterministic JSON document (to FILE, else to standard output).  It runs
+serially on one BLAS thread unless ``OPENBLAS_NUM_THREADS`` and
+``QUDITPULSE_THREADS`` are set: it sets each to 1 only where the
+environment leaves it unset, so a run with other counts can be compared
+with ``cmp`` against the one-thread file.  Its fields:
 
 - per ``eval_matrix`` system of the benchmark, with the pulse the benchmark
   draws at seed 1234: the objective value, the gradient, the states and
@@ -26,8 +28,8 @@ from __future__ import annotations
 
 import os
 
-os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy loads OpenBLAS
-os.environ["QUDITPULSE_THREADS"] = "1"
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads OpenBLAS
+os.environ.setdefault("QUDITPULSE_THREADS", "1")
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
