@@ -15,7 +15,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -42,21 +42,6 @@ FIT_EVAL_RANGE = range(2, 9)
 
 class CliError(Exception):
     """Validation or I/O failure; maps to exit code 1."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """User-facing configuration; frequencies in GHz, time in ns.
-
-    ``system`` holds only the ``transmon_system`` keyword arguments the config sets.
-    """
-
-    system: dict = field(default_factory=dict)
-    objective: ObjectiveConfig = field(default_factory=ObjectiveConfig)
-    max_iter: int | None = None
-    guess_scale: float = ipr_mod.IPRConfig.guess_scale
-    steps_per_ns: int | None = None
-    seed: int = 1234
 
 
 # The JSON type of each config key; a dict is a section of further keys.
@@ -95,44 +80,52 @@ def _check(value, kind, name: str) -> None:
         raise CliError(f"config {name} must be {kind}, got {value!r}")
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Read and validate the run configuration; None gives the defaults."""
-    if path is None:
-        return RunConfig()
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed config JSON: {exc}") from exc
-    _check(doc, CONFIG_KEYS, "root")
+def load_config(path: str | None) -> dict:
+    """Read and validate the run configuration (None reads ``{}``).
+
+    Returns the ``CONFIG_KEYS`` document with every default filled in but the
+    system's: ``system`` holds only the ``transmon_system`` keyword arguments
+    the config sets (frequencies in GHz), the other sections are complete and
+    in ``CONFIG_KEYS`` order.  Written back as a run's ``run_config``, it
+    repeats the run.
+    """
+    doc = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise CliError(f"cannot read config: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise CliError(f"malformed config JSON: {exc}") from exc
+        _check(doc, CONFIG_KEYS, "root")
     # Value ranges are checked where the values are used: by ObjectiveConfig
     # here, and by QuditSystem, StandardOptimizer, IPRConfig and random_guess;
     # their ValueError exits 1.
-    return RunConfig(
-        system=doc.get("system", {}),
-        objective=ObjectiveConfig(**doc.get("objective", {})),
-        **doc.get("optimizer", {}),
-        **doc.get("integrator", {}),
-        seed=doc.get("seed", RunConfig.seed),
-    )
+    return {
+        "system": doc.get("system", {}),
+        "objective": asdict(ObjectiveConfig(**doc.get("objective", {}))),
+        "optimizer": {"max_iter": None, "guess_scale": ipr_mod.IPRConfig.guess_scale,
+                      **doc.get("optimizer", {})},
+        "integrator": {"steps_per_ns": None, **doc.get("integrator", {})},
+        "seed": doc.get("seed", 1234),
+    }
 
 
-def build_system(cfg: RunConfig, gate_name: str, d: int) -> QuditSystem:
+def build_system(cfg: dict, gate_name: str, d: int) -> QuditSystem:
     num_qudits = 2 if gate_name in TWO_QUDIT_GATES else 1
-    return transmon_system(num_qudits, d, **cfg.system)
+    return transmon_system(num_qudits, d, **cfg["system"])
 
 
 def _ipr_config(
-    cfg: RunConfig, t_start: float, step: float | None = None, seed_offset: int = 0
+    cfg: dict, t_start: float, step: float | None = None, seed_offset: int = 0
 ) -> ipr_mod.IPRConfig:
     return ipr_mod.IPRConfig(
         T_start=t_start,
         step=step,
-        guess_scale=cfg.guess_scale,
-        error_threshold=cfg.objective.error_threshold,
-        seed=cfg.seed + seed_offset,
+        guess_scale=cfg["optimizer"]["guess_scale"],
+        error_threshold=cfg["objective"]["error_threshold"],
+        seed=cfg["seed"] + seed_offset,
     )
 
 
@@ -146,16 +139,19 @@ def _sized_by(option: str, value: float, build, *args):
 
 
 def _write_csv(path, header: list[str], rows) -> None:
+    """Write a CSV; None becomes an empty cell and a float its ``repr``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _optimizer(cfg: RunConfig, mock_threshold: float | None, units: int = 1):
+def _optimizer(cfg: dict, mock_threshold: float | None, units: int = 1):
     """The standard optimizer, or the mock succeeding from mock_threshold * units."""
     # Built for the mock too, so that a config the mock ignores is still checked.
-    standard = ipr_mod.StandardOptimizer(cfg.objective, cfg.max_iter, cfg.steps_per_ns)
+    standard = ipr_mod.StandardOptimizer(ObjectiveConfig(**cfg["objective"]),
+                                         cfg["optimizer"]["max_iter"],
+                                         cfg["integrator"]["steps_per_ns"])
     if mock_threshold is not None:
         return ipr_mod.threshold_mock_optimizer(mock_threshold * units)
     return standard
@@ -166,11 +162,11 @@ def cmd_optimize(args) -> int:
     system = build_system(cfg, args.gate, args.d)
     target = gate(args.gate, args.d)
     params = _sized_by("--T", args.T, default_params, system, args.T)
-    params = params.with_alpha(random_guess(params, cfg.guess_scale, cfg.seed))
+    params = params.with_alpha(random_guess(params, cfg["optimizer"]["guess_scale"], cfg["seed"]))
     optimizer = _optimizer(cfg, None)
     result = optimizer(system, params, target)
     save_pulse(args.out, system, params.with_alpha(result.alpha_final), result.fidelity,
-               {"gate": args.gate, "d": args.d, "seed": cfg.seed},
+               {"gate": args.gate, "d": args.d, "seed": cfg["seed"]},
                optimizer.resolutions(system)[1])
     _write_csv(args.log or str(args.out) + ".iters.csv",
                ["iteration", "objective", "infidelity", "guard_penalty", "step_size"],
@@ -183,19 +179,8 @@ def cmd_optimize(args) -> int:
     return EXIT_OK if result.converged else EXIT_SEARCH_FAILED
 
 
-def _run_config_doc(run_cfg: RunConfig) -> dict:
-    """The --config document that repeats a run."""
-    return {
-        "system": run_cfg.system,
-        "objective": asdict(run_cfg.objective),
-        "optimizer": {"max_iter": run_cfg.max_iter, "guess_scale": run_cfg.guess_scale},
-        "integrator": {"steps_per_ns": run_cfg.steps_per_ns},
-        "seed": run_cfg.seed,
-    }
-
-
 def _ipr_result_doc(
-    run_cfg: RunConfig,
+    run_cfg: dict,
     cfg: ipr_mod.IPRConfig,
     result: ipr_mod.IPRResult,
     system: QuditSystem,
@@ -203,7 +188,7 @@ def _ipr_result_doc(
 ) -> dict:
     doc = {
         "config": asdict(cfg),
-        "run_config": _run_config_doc(run_cfg),
+        "run_config": run_cfg,
         "records": [asdict(r) for r in result.records],
         "best_pulse": None,
         "summary": {
@@ -273,22 +258,14 @@ def cmd_sweep(args) -> int:
         optimizer = _optimizer(cfg, args.mock_threshold, units=d - 1)
         summary = ipr_mod.multi_run(system, target, base, args.runs, optimizer=optimizer)
         for run_idx, (res, run_cfg) in enumerate(zip(summary.results, summary.configs)):
-            rows.append([
-                args.gate, d, run_idx, run_cfg.seed, run_cfg.T_start,
-                res.T_best if res.succeeded else "",
-                f"{res.fidelity_best:.8f}", "", "",
-            ])
+            rows.append([args.gate, d, run_idx, run_cfg.seed, run_cfg.T_start, res.T_best,
+                         f"{res.fidelity_best:.8f}", "", ""])
         if summary.t_min is not None:
             minima.append((d, summary.t_min))
-        rows.append([
-            args.gate, d, "summary", "", "",
-            summary.t_min if summary.t_min is not None else "",
-            f"{summary.fidelity_best:.8f}",
-            summary.t_mean if summary.t_mean is not None else "",
-            summary.t_std if summary.t_std is not None else "",
-        ])
+        rows.append([args.gate, d, "summary", "", "", summary.t_min,
+                     f"{summary.fidelity_best:.8f}", summary.t_mean, summary.t_std])
     _write_csv(args.out, SWEEP_HEADER, rows)
-    write_json(f"{args.out}.run_config.json", _run_config_doc(cfg))
+    write_json(f"{args.out}.run_config.json", cfg)
     print(f"wrote {args.out} ({len(rows)} rows) and {args.out}.run_config.json")
     return EXIT_OK
 
@@ -340,7 +317,7 @@ def cmd_simulate(args) -> int:
     header += ["guard_avg"]
     pops = (np.abs(traj.states) ** 2).transpose(0, 2, 1).reshape(n_times, -1)
     table = np.column_stack([traj.times, pops, traj.guard_pop, guard_populations(traj)])
-    _write_csv(args.out, header, [[repr(float(x)) for x in row] for row in table])
+    _write_csv(args.out, header, table.tolist())
     print(f"wrote {args.out} ({len(traj.times)} samples)")
     return EXIT_OK
 
@@ -355,7 +332,7 @@ def cmd_export_lab(args) -> int:
     amplitudes = pulse_mod.lab_frame_control(params, system.omega_rot, times)
     table = np.column_stack([times, amplitudes.T])
     header = ["time_ns"] + [f"f_{k}" for k in range(params.num_controls)]
-    _write_csv(args.out, header, [[repr(float(x)) for x in row] for row in table])
+    _write_csv(args.out, header, table.tolist())
     print(f"wrote {args.out} ({n_samples} samples)")
     return EXIT_OK
 

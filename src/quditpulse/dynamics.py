@@ -231,7 +231,7 @@ def _expm1i(x: np.ndarray) -> np.ndarray:
 def _drift_exponential(split: Splitting, t: float) -> np.ndarray:
     """exp(-1j * t * H0), read-only: every block of a sweep asks for it."""
     vecs = split.drift_vecs
-    out = np.eye(len(vecs)) + (vecs * _expm1i(t * split.drift_vals)) @ vecs.conj().T
+    out = np.eye(len(vecs)) + _gemm(vecs * _expm1i(t * split.drift_vals), vecs.conj().T)
     out.setflags(write=False)
     return out
 

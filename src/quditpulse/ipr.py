@@ -13,7 +13,9 @@ rounded to the nearest 1 ns, and no duration goes below 1 ns.
   and re-seed with the stretched pulse;
 * failure before any success with decreasing fidelity: restart from the
   best-fidelity duration with a fresh random guess, at most ``MAX_RESTARTS``
-  (5) times.
+  (5) times.  Restart k draws at ``min(1, guess_scale * 4**k)``
+  (``RESTART_SCALE_GROWTH``), so that it does not repeat the first attempt,
+  whose guess at ``guess_scale`` the optimizer's first step clips to the box.
 
 A search ends after at most ``MAX_ATTEMPTS`` (200) attempts.
 
@@ -60,8 +62,10 @@ PARENT_POLL_S = 0.5
 # multi_run draws each start duration uniformly from [LOW, HIGH] * t_ref.
 START_SAMPLE_LOW, START_SAMPLE_HIGH = 0.8, 1.2
 
-# Restarts of one search from a fresh random guess.
+# Restarts of one search from a fresh random guess; restart k draws at
+# min(1, guess_scale * RESTART_SCALE_GROWTH**k).
 MAX_RESTARTS = 5
+RESTART_SCALE_GROWTH = 4
 # Attempts of one search: a safety budget, as the flowchart alone need not terminate.
 MAX_ATTEMPTS = 200
 
@@ -235,12 +239,12 @@ def ipr_run(
     t_current = max(_snap(cfg.T_start), 1.0)
     rng = np.random.default_rng(cfg.seed)
 
-    def fresh_guess(T: float) -> PulseParams:
+    def fresh_guess(T: float, scale: float) -> PulseParams:
         """The first attempt's and every restart's seed: one draw from ``rng``."""
         params = default_params(sys, T)
-        return params.with_alpha(random_guess(params, cfg.guess_scale, rng))
+        return params.with_alpha(random_guess(params, scale, rng))
 
-    params = fresh_guess(t_current)
+    params = fresh_guess(t_current, cfg.guess_scale)
     seed_kind = "random"
 
     records: list[IPRRecord] = []
@@ -284,7 +288,8 @@ def ipr_run(
         elif restarts < MAX_RESTARTS:
             restarts += 1
             t_current = best_failed_t
-            params = fresh_guess(t_current)
+            params = fresh_guess(t_current,
+                                 min(1.0, cfg.guess_scale * RESTART_SCALE_GROWTH**restarts))
             seed_kind = "random"
             prev_fidelity = None
         else:

@@ -474,8 +474,8 @@ def test_readme_config_block_states_the_defaults(tmp_path):
     documented, default = load_config(str(path)), load_config(None)
     for gate_name in ("X_d", "CNOT"):
         assert build_system(documented, gate_name, 3) == build_system(default, gate_name, 3)
-    for name in ("objective", "max_iter", "guess_scale", "steps_per_ns", "seed"):
-        assert getattr(documented, name) == getattr(default, name)
+    for name in ("objective", "optimizer", "integrator", "seed"):
+        assert documented[name] == default[name]
 
 
 def _error_line(capsys) -> bool:

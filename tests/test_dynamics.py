@@ -297,15 +297,20 @@ class TestFactorKernels:
         # them are the GEMMs that write into the step buffers and, on two
         # qudits, the K_2 GEMMs into the rows buffer and the step build's
         # broadcast products (L x L) @ (L x n); each function of the sweeps
-        # that multiplies calls np.matmul.
+        # that multiplies calls np.matmul.  The drift exponential is computed
+        # cold in the window, through _gemm: at 2q d=5 its 49 x 49 product is
+        # above the bound.
         n_steps = _block_length(num_qudits, d) + 37
         _, split, embed, mask, p, q, dt, _ = _factor_system(num_qudits, d, n_steps, d)
-        sizes, seen, callers = [], set(), set()
+        sizes, seen, callers, gemm_callers = [], set(), set(), set()
         matmul = np.matmul
 
         def recording_matmul(a, b, **kwargs):
             sizes.append((a.shape[-2] if a.ndim > 1 else 1) * a.shape[-1] * b.shape[-1])
-            callers.add(inspect.currentframe().f_back.f_code.co_name)
+            caller = inspect.currentframe().f_back
+            callers.add(caller.f_code.co_name)
+            if caller.f_code.co_name == "_gemm":
+                gemm_callers.add(caller.f_back.f_code.co_name)
             if a.ndim == 4 and a.shape[1] == 1:
                 seen.add("broadcast")
             out = kwargs.get("out")
@@ -315,6 +320,7 @@ class TestFactorKernels:
             return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", recording_matmul)
+        dynamics._drift_exponential.cache_clear()
         for stride in (1, 4, n_steps):
             store = np.append(np.arange(0, n_steps, stride), n_steps)
             states, last = propagate_sequence(split, p, q, dt, embed, store)
@@ -322,6 +328,7 @@ class TestFactorKernels:
                              mask, last)
         monkeypatch.undo()
         assert sizes and max(sizes) < 65_536
+        assert "_drift_exponential" in gemm_callers
         assert seen == ({"steps", "rows", "broadcast"} if num_qudits == 2 else {"steps"})
         sweeps = {"_gemm", "propagate_sequence", "_chain_product", "recurrence"}
         assert callers == sweeps | ({"merged_steps", "_traced_pair"} if num_qudits == 2

@@ -126,10 +126,30 @@ class TestStateMachine:
         rng = np.random.default_rng(cfg.seed)
         fresh = [(start, r.T) for start, r in zip(starts, res.records) if r.seed_kind == "random"]
         assert len(fresh) == 4
-        for start, T in fresh:
-            expected = random_guess(default_params(sys, T), cfg.guess_scale, rng)
+        for k, (start, T) in enumerate(fresh):
+            scale = min(1.0, cfg.guess_scale * ipr_mod.RESTART_SCALE_GROWTH**k)
+            expected = random_guess(default_params(sys, T), scale, rng)
             assert np.array_equal(start, expected)
         assert not np.array_equal(fresh[0][0], fresh[1][0])
+
+    def test_restart_guesses_grow(self, h4_setup):
+        # Each restart draws at a larger scale, up to the box, so it does not
+        # repeat the first attempt.
+        sys, target = h4_setup
+        cfg = IPRConfig(T_start=30.0, step=4.0, guess_scale=0.001, seed=12)
+        starts = []
+        decreasing = _fidelity_mock(lambda t: 0.9 - 0.001 * t)
+
+        def recording(sys_, params, target_):
+            starts.append(np.max(np.abs(params.alpha)) / params.alpha_max)
+            return decreasing(sys_, params, target_)
+
+        res = ipr_run(sys, target, cfg, recording)
+        fresh = [m for m, r in zip(starts, res.records) if r.seed_kind == "random"]
+        assert len(fresh) == ipr_mod.MAX_RESTARTS + 1
+        assert fresh[0] <= cfg.guess_scale
+        assert all(a < b for a, b in zip(fresh, fresh[1:]))
+        assert fresh[-1] <= 1.0
 
     def test_granularity_floor(self, h4_setup):
         sys, target = h4_setup
